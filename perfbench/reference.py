@@ -132,7 +132,8 @@ def normal_equation_residual(model: dict, train_inputs, train_outputs) -> float:
         z = features(x[start : start + 2048], model["frequencies"], model["phases"])
         gram += z.T @ z
         cross += z.T @ y[start : start + 2048]
-    lhs = gram + model["ridge_lambda"] * np.eye(count)
+    lhs = gram
+    lhs[np.diag_indices(count)] += model["ridge_lambda"]
     psi = model["psi"]
     resid = np.linalg.norm(lhs @ psi - cross)
     scale = np.linalg.norm(lhs) * np.linalg.norm(psi) + np.linalg.norm(cross)

@@ -3,12 +3,13 @@
 
 Usage, from the root of a source checkout:
 
-    python3 perfbench/spread.py --workload train-1d --seeds 1-10 [--seconds 10]
+    python3 perfbench/spread.py --workload train-1d --seeds 1-10
 
-Runs are sequential, one process each. For every end-to-end metric it
-prints the median, the quartiles from ``statistics.quantiles(n=4)``, the
-interquartile distance as a share of the median, and the metric's bound
-from BENCHMARK.json. Raw results go to perfbench/out/spread-<workload>.json.
+Runs are sequential, one process each, each of BENCHMARK.json's
+``run_seconds``. For every end-to-end metric it prints the median, the
+quartiles from ``statistics.quantiles(n=4)``, the interquartile distance
+as a share of the median, and the metric's bound from BENCHMARK.json.
+Raw results go to perfbench/out/spread-<workload>.json.
 """
 
 import argparse
@@ -33,14 +34,12 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args()
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
     runs = []
     for seed in args.seeds:
         cmd = [*spec["command"], "--workload", args.workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(spec["run_seconds"]), "--trace", "0"]
         proc = subprocess.run([sys.executable if c == "python3" else c for c in cmd],
                               capture_output=True, text=True, check=False)
         if proc.returncode != 0:

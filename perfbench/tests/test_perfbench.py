@@ -165,11 +165,28 @@ def _result(proc):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_command_prints_every_metric(trace):
+# per-layer metrics of calls a workload never makes, and so reads as 0
+NOT_CALLED = {
+    "train-1d": {
+        "fit.cli.ingest_dataset.s", "eval.cli.ingest_dataset.s",
+        "setup.cli.read_series.s", "setup.cli.window_series.s", "setup.cli.write_dataset.s",
+        "fit.regress.fit.self_s", "fit.modelio.save_model.s", "eval.modelio.load_model.s",
+        "predict_cmd.basis.design_matrix.s",
+    },
+    "series-1d": {"fit.regress.fit_cv.self_s", "predict_cmd.basis.design_matrix.s"},
+    "cli-2d": {
+        "setup.cli.read_series.s", "setup.cli.window_series.s", "setup.cli.write_dataset.s",
+        "fit.regress.fit.self_s",
+    },
+}
+
+
+@pytest.mark.parametrize("workload,trace", [
+    ("cli-2d", 0), ("train-1d", 1), ("series-1d", 1), ("cli-2d", 1)])
+def test_command_prints_every_metric(workload, trace):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "cli-2d", "--seed", "5",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "5",
          "--seconds", "0", "--trace", str(trace), "--scale", str(SMOKE)],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -178,7 +195,12 @@ def test_command_prints_every_metric(trace):
     assert result["correct"] and result["failed"] == 0 and result["attempted"] > 0
     names = [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
     assert sorted(result["metrics"]) == sorted(names)
-    if not trace:
+    if trace:
+        # a renamed, inlined or unwrappable function would read 0 without error;
+        # trace.overhead_s may be negative at the smoke size
+        zero = {name for name, m in result["metrics"].items() if m["value"] == 0}
+        assert zero <= NOT_CALLED[workload]
+    else:
         assert all(m["value"] > 0 for m in result["metrics"].values())
 
 
