@@ -20,6 +20,8 @@ from .basis import (
 )
 
 EPANECHNIKOV = "epanechnikov"
+# held-out-by-fitting distances per bandwidth-scoring block (1 MiB of float64)
+_CV_BLOCK_ELEMENTS = 1 << 17
 
 
 def kernel_weight(u):
@@ -135,25 +137,27 @@ def lse_fit_cv(
     n_val = max(1, int(round(holdout_fraction * n)))
     val_idx, train_idx = order[:n_val], order[n_val:]
 
-    best = None
-    for bw in bandwidth_grid:
-        sub = LinearSmootherModel(
-            input_index_set=input_index_set,
-            output_index_set=output_index_set,
-            train_inputs=tin[train_idx],
-            train_outputs=tout[train_idx],
-            bandwidth=bw,
-        )
-        sse = 0.0
-        for i in val_idx:
-            pred = lse_weights(sub, tin[i]) @ sub.train_outputs
-            resid = pred - tout[i]
-            sse += float(resid @ resid)
-        mse = sse / len(val_idx)
-        if best is None or mse < best[0]:
-            best = (mse, bw)
+    fit_in, fit_out = tin[train_idx], tout[train_idx]
+    fit_sq = (fit_in * fit_in).sum(axis=1)
+    sse = np.zeros(len(bandwidth_grid))
+    # held-out rows in blocks of bounded size: distances to the fitting split
+    # are computed once per block, by one matrix product, for every bandwidth
+    rows = max(1, _CV_BLOCK_ELEMENTS // len(train_idx))
+    for start in range(0, n_val, rows):
+        block = val_idx[start : start + rows]
+        q = tin[block]
+        sq = (q * q).sum(axis=1)[:, None] + fit_sq - 2.0 * (q @ fit_in.T)
+        dists = np.sqrt(np.maximum(sq, 0.0))
+        for j, bw in enumerate(bandwidth_grid):
+            w = kernel_weight(dists / bw)
+            total = w.sum(axis=1, keepdims=True)
+            w = np.divide(w, total, out=np.zeros_like(w), where=total > 0.0)
+            resid = w @ fit_out - tout[block]
+            sse[j] += float((resid * resid).sum())
 
-    mse, bw = best
+    # argmin keeps the first bandwidth on ties
+    best = int(np.argmin(sse))
+    mse, bw = float(sse[best]) / n_val, bandwidth_grid[best]
     model = LinearSmootherModel(
         input_index_set=input_index_set,
         output_index_set=output_index_set,

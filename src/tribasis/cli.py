@@ -5,6 +5,11 @@ JSON lines (one observation pair per line); raw scalar series are plain
 one-number-per-line text. Reports are JSON documents whose non-timing
 fields reproduce exactly from the recorded seed and config.
 
+`eval` and `bench` score function-space MSE exactly, by Parseval: the basis
+is orthonormal, so the integrated squared error of two truncated series is
+their squared coefficient distance on the union of their index sets. This
+costs O(instances x indices) and works in any dimension.
+
 Exit codes: 0 success, 1 user error (bad flags, unreadable or invalid
 files), 2 internal error.
 """
@@ -255,7 +260,7 @@ def window_series(values, windowing: SeriesWindowing, co_values=None):
 
 
 # --------------------------------------------------------------------------
-# quadrature evaluation
+# function-space error
 
 
 def midpoint_grid(dimension: int, points_per_axis: int = 1024) -> np.ndarray:
@@ -279,12 +284,56 @@ def quadrature_mse(
     points_per_axis: int = 1024,
 ) -> float:
     """Mean (over instances) integrated squared error between reconstructed
-    predictions and reconstructed truths, by the midpoint rule."""
+    predictions and reconstructed truths, by the midpoint rule.
+
+    Exact for products of basis functions of degree below
+    2 * points_per_axis; the independent reference for ``coefficient_mse``,
+    at the cost of points_per_axis^d nodes per instance."""
     grid = midpoint_grid(pred_set.dimension, points_per_axis)
     pred_vals = design_matrix(pred_set, grid) @ pred_matrix.T
     truth_vals = design_matrix(truth_set, grid) @ truth_matrix.T
     diff = pred_vals - truth_vals
     return float((diff * diff).mean(axis=0).mean())
+
+
+def coefficient_mse(
+    pred_matrix: np.ndarray,
+    pred_set: BasisIndexSet,
+    truth_matrix: np.ndarray,
+    truth_set: BasisIndexSet,
+) -> float:
+    """Mean (over instances) integrated squared error between predictions
+    and truths, computed exactly in coefficient space.
+
+    Both coefficient matrices (one row per instance) are embedded on the
+    union of their index sets; by Parseval the squared row distance there is
+    the squared L2 distance of the reconstructed functions.
+    """
+    pred = np.asarray(pred_matrix, dtype=float)
+    truth = np.asarray(truth_matrix, dtype=float)
+    if pred_set.dimension != truth_set.dimension:
+        raise ValueError(
+            f"prediction dimension {pred_set.dimension} does not match truth "
+            f"dimension {truth_set.dimension}"
+        )
+    if (
+        pred.ndim != 2
+        or pred.shape[1] != len(pred_set)
+        or truth.shape != (pred.shape[0], len(truth_set))
+    ):
+        raise ValueError(
+            f"coefficient matrices {pred.shape} and {truth.shape} need one row "
+            f"per instance and {len(pred_set)} and {len(truth_set)} columns"
+        )
+    union, position = np.unique(
+        np.vstack([pred_set.indices, truth_set.indices]),
+        axis=0, return_inverse=True,
+    )
+    position = position.reshape(-1)
+    diff = np.zeros((pred.shape[0], union.shape[0]))
+    diff[:, position[: len(pred_set)]] = pred
+    diff[:, position[len(pred_set) :]] -= truth
+    return float((diff * diff).sum(axis=1).mean())
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +373,11 @@ def evaluate_model(
     points_per_axis: int = 1024,
 ):
     """Predict every test input with per-prediction timing (one unmeasured
-    warm-up first) and score against the truth by quadrature.
+    warm-up first) and score against the truth with ``coefficient_mse``.
+
+    ``points_per_axis`` is ignored: scoring is exact in coefficient space
+    and needs no quadrature grid. It stays in the signature so that callers
+    passing it positionally keep working.
 
     Returns (mse, median_prediction_seconds, prediction_matrix).
     """
@@ -339,9 +392,7 @@ def evaluate_model(
         times.append(time.perf_counter() - t0)
         preds.append(cv.coefficients)
     pred_matrix = np.vstack(preds)
-    mse = quadrature_mse(
-        pred_matrix, model.output_index_set, truth_matrix, truth_set, points_per_axis
-    )
+    mse = coefficient_mse(pred_matrix, model.output_index_set, truth_matrix, truth_set)
     return mse, float(np.median(times)), pred_matrix
 
 
@@ -380,7 +431,6 @@ class BenchmarkConfig:
     bandwidth_grid: tuple | None = None
     fixed_sigma: float | None = None
     fixed_lambda: float | None = None
-    quadrature_points: int = 1024
     report_path: str | None = None
     model_out: str | None = None
 
@@ -418,8 +468,9 @@ def _derive_bandwidth_grid(train_inputs: np.ndarray, seed: int):
 
 
 def run_benchmark(config: BenchmarkConfig) -> dict:
-    """Fit every requested method, score held-out function-space MSE by
-    quadrature, measure median prediction time, and return the report."""
+    """Fit every requested method, score held-out function-space MSE
+    exactly in coefficient space (``coefficient_mse``), measure median
+    prediction time, and return the report."""
     unknown = [m for m in config.methods if m not in KNOWN_METHODS]
     if unknown:
         raise ValueError(
@@ -539,9 +590,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
             model = MeanPredictorModel(output_set, train_out_coeffs.mean(axis=0))
         fit_seconds = time.perf_counter() - t0
 
-        mse, mpt, _ = evaluate_model(
-            model, test, truth_all, truth_set, config.quadrature_points
-        )
+        mse, mpt, _ = evaluate_model(model, test, truth_all, truth_set)
         records.append(
             {
                 "method": method,
@@ -629,7 +678,6 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--report", default=None)
-    p_eval.add_argument("--quadrature", type=int, default=1024)
 
     p_bench = sub.add_parser("bench", help="run the benchmark harness")
     p_bench.add_argument("--report", required=True)
@@ -654,7 +702,6 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--folds", type=int, default=5)
     p_bench.add_argument("--model", default=None,
                          help="save the fitted triple-basis model here")
-    p_bench.add_argument("--quadrature", type=int, default=1024)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out", required=True)
@@ -760,7 +807,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval needs 'output' observations on every line")
     output_set = model.output_index_set
     truth = np.vstack([project(q, output_set).coefficients for _, q in pairs])
-    mse, mpt, _ = evaluate_model(model, pairs, truth, output_set, args.quadrature)
+    mse, mpt, _ = evaluate_model(model, pairs, truth, output_set)
     print(f"mse={mse:.8g} mpt_seconds={mpt:.6g} instances={len(pairs)}")
     if args.report:
         doc = {
@@ -797,7 +844,6 @@ def _cmd_bench(args) -> int:
         folds=args.folds,
         fixed_sigma=args.sigma,
         fixed_lambda=args.ridge_lambda,
-        quadrature_points=args.quadrature,
         report_path=args.report,
         model_out=args.model,
     )

@@ -7,6 +7,7 @@ exactly in coefficient space (never through random features), so it serves
 as an oracle: an estimator's error against it measures the whole pipeline.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +93,18 @@ class MappingSpec:
         self.bounds = bounds
 
 
+@functools.lru_cache(maxsize=16)
+def _truth_ball(nu: tuple, gamma: tuple) -> BasisIndexSet:
+    """The radius-16 smoothness ball of (nu, gamma), enumerated once and
+    shared: it does not depend on the amplitude, and index sets are
+    immutable."""
+    return enumerate_kappa_ball(SobolevSpec(nu, gamma, 1.0), TRUTH_RADIUS)
+
+
 def sample_input_function(spec: SobolevSpec, seed) -> CoefficientVector:
     """Draw one input function as coefficients over the smoothness ball of
     radius 16, with high-frequency damping and an ellipsoid rescale."""
-    iset = enumerate_kappa_ball(spec, TRUTH_RADIUS)
+    iset = _truth_ball(tuple(spec.nu), tuple(spec.gamma))
     kap = spec.kappa(iset.indices)
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(iset)) / (1.0 + kap * kap)

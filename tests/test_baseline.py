@@ -11,9 +11,11 @@ from tribasis import (
     lse_fit,
     lse_fit_cv,
     lse_predict,
+    project,
     sample_input_function,
     SobolevSpec,
 )
+from tribasis import baseline
 from tribasis.baseline import kernel_weight, lse_weights
 
 
@@ -166,6 +168,37 @@ def test_bandwidth_cv_picks_reasonable_value():
         errs.append(((pred - p.coefficients[:m]) ** 2).sum())
         base.append((p.coefficients[:m] ** 2).sum())
     assert np.mean(errs) < np.mean(base)
+
+
+def test_bandwidth_cv_matches_per_row_loop(monkeypatch):
+    # 140 held-out rows in scoring blocks of 16 (the last one partial), and
+    # a bandwidth so small that some held-out rows have no fitting input in
+    # the kernel support
+    train, _, _ = identity_task(12, 700, 0, 40)
+    monkeypatch.setattr(baseline, "_CV_BLOCK_ELEMENTS", 16 * 560)
+    uset = enumerate_ball(1, 3.0)
+    grid = (0.02, 0.3, 1.0, 4.0)
+    model, mse = lse_fit_cv(train, uset, uset, bandwidth_grid=grid, seed=6)
+
+    tin = np.vstack([project(p, uset).coefficients for p, _ in train])
+    tout = np.vstack([project(q, uset).coefficients for _, q in train])
+    order = np.random.default_rng(6).permutation(len(train))
+    n_val = round(0.2 * len(train))
+    val_idx, fit_idx = order[:n_val], order[n_val:]
+    loop_mses, unsupported = [], 0
+    for bw in grid:
+        sub = _model_from_matrices(tin[fit_idx], tout[fit_idx], bw)
+        sse = 0.0
+        for i in val_idx:
+            w = lse_weights(sub, tin[i])
+            unsupported += not w.any()
+            resid = w @ sub.train_outputs - tout[i]
+            sse += float(resid @ resid)
+        loop_mses.append(sse / n_val)
+    assert n_val == 140 and unsupported > 0
+    best = int(np.argmin(loop_mses))
+    assert model.bandwidth == grid[best]
+    assert mse == pytest.approx(loop_mses[best], rel=1e-12)
 
 
 def test_fit_validation():

@@ -13,6 +13,7 @@ from tribasis import (
     generate_dataset,
     load_model,
     make_mapping,
+    predict_coeffs,
     project,
 )
 from tribasis.cli import (
@@ -20,6 +21,7 @@ from tribasis.cli import (
     DatasetFormatError,
     SeriesTransform,
     SeriesWindowing,
+    coefficient_mse,
     evaluate_model,
     ingest_dataset,
     main,
@@ -222,6 +224,36 @@ def test_quadrature_matches_parseval_on_shared_set():
     quad = quadrature_mse(a, iset, b, iset, points_per_axis=1024)
     parseval = float(((a - b) ** 2).sum(axis=1).mean())
     assert quad == pytest.approx(parseval, rel=1e-10)
+    assert coefficient_mse(a, iset, b, iset) == pytest.approx(quad, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim, pred_radius, truth_radius, points_per_axis",
+    [
+        (1, 3.0, 9.0, 1024),   # prediction set inside the truth set
+        (1, 9.0, 3.0, 1024),   # prediction set around the truth set
+        (2, 2.0, 5.0, 64),     # 64 nodes integrate degrees below 128 exactly
+        (2, 5.0, 2.5, 64),
+    ],
+)
+def test_coefficient_mse_matches_quadrature_on_different_sets(
+    dim, pred_radius, truth_radius, points_per_axis
+):
+    rng = np.random.default_rng(13)
+    pset, tset = enumerate_ball(dim, pred_radius), enumerate_ball(dim, truth_radius)
+    a = rng.standard_normal((5, len(pset)))
+    b = rng.standard_normal((5, len(tset)))
+    quad = quadrature_mse(a, pset, b, tset, points_per_axis=points_per_axis)
+    assert coefficient_mse(a, pset, b, tset) == pytest.approx(quad, rel=1e-12)
+
+
+def test_coefficient_mse_rejects_misaligned_matrices():
+    iset = enumerate_ball(1, 3.0)
+    with pytest.raises(ValueError):
+        coefficient_mse(np.zeros((2, len(iset))), iset, np.zeros((1, len(iset))), iset)
+    with pytest.raises(ValueError):
+        coefficient_mse(np.zeros((2, len(iset))), iset, np.zeros((2, 6)),
+                        enumerate_ball(2, 2.0))
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +333,17 @@ def test_benchmark_mse_matches_saved_model_recomputation(tmp_path):
     assert abs(mse - record["mse"]) < 1e-12
 
 
+def test_benchmark_scores_3d_outputs():
+    config = BenchmarkConfig(
+        seed=3, train_count=40, test_count=10, points_per_function=40,
+        output_dim=3, radius_in=2.0, radius_out=2.0, feature_count=50,
+    )
+    report = run_benchmark(config)
+    assert [rec["method"] for rec in report["records"]] == list(config.methods)
+    for rec in report["records"]:
+        assert np.isfinite(rec["mse"]) and rec["mse"] > 0
+
+
 def test_benchmark_report_written(tmp_path):
     report_path = tmp_path / "report.json"
     config = BenchmarkConfig(
@@ -342,6 +385,28 @@ def test_cli_full_pipeline(tmp_path):
     assert json.loads(report.read_text())["instances"] == 40
 
 
+def test_cli_eval_3d_outputs_by_parseval(tmp_path):
+    data = tmp_path / "data.jsonl"
+    model = tmp_path / "model.json"
+    report = tmp_path / "report.json"
+    assert main(["synth", "--out", str(data), "--dim-out", "3",
+                 "--instances", "60", "--seed", "4"]) == 0
+    assert main(["fit", "--data", str(data), "--model", str(model),
+                 "--sigma", "1", "--lambda", "0.01"]) == 0
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--report", str(report)]) == 0
+
+    fitted = load_model(model)
+    vset = fitted.output_index_set
+    assert vset.dimension == 3
+    diff = np.vstack([
+        predict_coeffs(fitted, p).coefficients - project(q, vset).coefficients
+        for p, q in ingest_dataset(data)
+    ])
+    parseval = float((diff * diff).sum(axis=1).mean())
+    assert json.loads(report.read_text())["mse"] == pytest.approx(parseval, rel=1e-12)
+
+
 def test_cli_bench_and_window(tmp_path):
     series = tmp_path / "series.txt"
     t = np.arange(512)
@@ -363,6 +428,8 @@ def test_cli_exit_codes(tmp_path):
                  "--model", str(tmp_path / "m.json")]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["bench"]) == 1  # missing required --report
+    assert main(["bench", "--report", str(tmp_path / "r.json"),
+                 "--quadrature", "64"]) == 1  # removed option
     assert main(["--help"]) == 0
 
 
