@@ -1,32 +1,17 @@
-"""Hot numeric kernels: numba-jitted with a pure-NumPy fallback.
+"""The cosine design-matrix kernel, in NumPy.
 
-Two inner loops dominate runtime in this package: building the cosine
-design matrix (one basis evaluation per point and multi-index) and
-computing random cosine features. Both exist in a jitted and a vectorized
-NumPy variant computing the same quantities; results agree to
-floating-point round-off.
-
-Only the design matrix dispatches to the jitted kernel: fusing its gather
-and product loops beats the NumPy path roughly 2x, while the feature
-kernel is BLAS- and SIMD-cos-bound and the jitted variant loses to NumPy
-(run ``benchmarks/bench_accel.py`` for the numbers on your machine). The
-jitted feature kernel is kept for that comparison.
-
-Backend selection happens once at import time. Set the environment
-variable ``TRIBASIS_DISABLE_NUMBA=1`` to force the NumPy path everywhere
-(useful where JIT warm-up is unwelcome). When numba is not importable the
-NumPy path is used silently.
+Building the design matrix (one basis evaluation per point and multi-index)
+is the inner loop behind every projection and reconstruction in this
+package. There is one implementation; ``backend_name`` names it in reports.
 """
 
-
-import os
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
 
-def cosine_design_numpy(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def cosine_design(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Design matrix of the tensor-product cosine basis.
 
     Parameters
@@ -59,77 +44,6 @@ def cosine_design_numpy(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return out
 
 
-def rks_features_numpy(
-    x: np.ndarray, frequencies: np.ndarray, phases: np.ndarray, scale: float
-) -> np.ndarray:
-    """Random cosine features scale * cos(x @ frequencies.T + phases).
-
-    x has shape (n, s), frequencies (D, s), phases (D,); returns (n, D).
-    """
-    return scale * np.cos(x @ frequencies.T + phases)
-
-
-def _cosine_design_py(points, indices):
-    # same loop structure as the jitted kernel; compiled below when available
-    n, d = points.shape
-    m = indices.shape[0]
-    out = np.ones((n, m))
-    for axis in range(d):
-        kmax = 0
-        for a in range(m):
-            if indices[a, axis] > kmax:
-                kmax = indices[a, axis]
-        table = np.empty((n, kmax + 1))
-        for j in range(n):
-            table[j, 0] = 1.0
-            u = np.pi * points[j, axis]
-            for k in range(1, kmax + 1):
-                table[j, k] = _SQRT2 * np.cos(u * k)
-        for j in range(n):
-            for a in range(m):
-                out[j, a] *= table[j, indices[a, axis]]
-    return out
-
-
-def _rks_features_py(x, frequencies, phases, scale):
-    n, s = x.shape
-    nfeat = frequencies.shape[0]
-    out = np.empty((n, nfeat))
-    for i in range(n):
-        for j in range(nfeat):
-            acc = phases[j]
-            for k in range(s):
-                acc += frequencies[j, k] * x[i, k]
-            out[i, j] = scale * np.cos(acc)
-    return out
-
-
-_disabled = bool(os.environ.get("TRIBASIS_DISABLE_NUMBA", ""))
-
-cosine_design_numba = None
-rks_features_numba = None
-
-if not _disabled:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        cosine_design_numba = njit(cache=True)(_cosine_design_py)
-        rks_features_numba = njit(cache=True)(_rks_features_py)
-
-if cosine_design_numba is not None:
-    BACKEND = "numba"
-    cosine_design = cosine_design_numba
-else:
-    BACKEND = "numpy"
-    cosine_design = cosine_design_numpy
-
-# BLAS matmul plus vectorized cos wins for feature batches on every size
-# benchmarked; see module docstring
-rks_features = rks_features_numpy
-
-
 def backend_name() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return BACKEND
+    """Name of the kernel backend recorded in reports: always "numpy"."""
+    return "numpy"

@@ -15,7 +15,8 @@ from .basis import (
     BasisIndexSet,
     CoefficientVector,
     FunctionObservation,
-    project,
+    holdout_split,
+    project_all,
     project_coefficients,
 )
 
@@ -78,8 +79,8 @@ def lse_fit(
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    tin = np.vstack([project(p, input_index_set).coefficients for p, _ in dataset])
-    tout = np.vstack([project(q, output_index_set).coefficients for _, q in dataset])
+    tin = project_all([p for p, _ in dataset], input_index_set)
+    tout = project_all([q for _, q in dataset], output_index_set)
     return LinearSmootherModel(
         input_index_set=input_index_set,
         output_index_set=output_index_set,
@@ -111,31 +112,47 @@ def lse_predict(
     return CoefficientVector(model.output_index_set, w @ model.train_outputs)
 
 
+def _median_bandwidth_grid(train_inputs: np.ndarray, seed: int) -> tuple:
+    # the median is taken as 1 when it is 0 (all sampled inputs equal)
+    n = train_inputs.shape[0]
+    take = min(n, 200)
+    idx = np.random.default_rng(seed).choice(n, size=take, replace=False)
+    sub = train_inputs[idx]
+    diffs = sub[:, None, :] - sub[None, :, :]
+    dists = np.sqrt((diffs * diffs).sum(axis=2))
+    med = float(np.median(dists[np.triu_indices(take, k=1)])) if take > 1 else 0.0
+    if med <= 0:
+        med = 1.0
+    return tuple(med * m for m in (0.25, 0.5, 1.0, 2.0, 4.0))
+
+
 def lse_fit_cv(
     dataset,
     input_index_set: BasisIndexSet,
     output_index_set: BasisIndexSet,
     bandwidth_grid,
     seed: int,
-    holdout_fraction: float = 0.2,
 ):
-    """Pick the bandwidth on one seeded 80/20 split (same protocol as the
-    triple-basis hyperparameter search), then refit on all data.
+    """Pick the bandwidth on the seeded held-out split (``holdout_split``,
+    the same protocol as the triple-basis hyperparameter search), then refit
+    on all data. ``bandwidth_grid=None`` searches 0.25, 0.5, 1, 2 and 4
+    times the median pairwise distance of (up to 200 seeded-randomly
+    chosen) training input coefficients.
 
     Returns (model, validation_mse).
     """
     dataset = list(dataset)
     if len(dataset) < 2:
         raise ValueError("bandwidth search needs at least two instances")
+    tin = project_all([p for p, _ in dataset], input_index_set)
+    tout = project_all([q for _, q in dataset], output_index_set)
+    if bandwidth_grid is None:
+        bandwidth_grid = _median_bandwidth_grid(tin, seed)
     bandwidth_grid = [float(b) for b in bandwidth_grid]
     if not bandwidth_grid:
         raise ValueError("bandwidth_grid must be non-empty")
-    tin = np.vstack([project(p, input_index_set).coefficients for p, _ in dataset])
-    tout = np.vstack([project(q, output_index_set).coefficients for _, q in dataset])
-    n = len(dataset)
-    order = np.random.default_rng(seed).permutation(n)
-    n_val = max(1, int(round(holdout_fraction * n)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
+    val_idx, train_idx = holdout_split(len(dataset), seed)
+    n_val = len(val_idx)
 
     fit_in, fit_out = tin[train_idx], tout[train_idx]
     fit_sq = (fit_in * fit_in).sum(axis=1)

@@ -5,8 +5,8 @@ j >= 1, which is orthonormal on [0, 1]. Multivariate basis functions are
 products of 1-D ones, indexed by non-negative integer multi-indices. The
 module covers index-set enumeration (Euclidean and smoothness-weighted
 balls), empirical projection of noisy function observations onto an index
-set, reconstruction, cross-validated truncation selection, and coefficient
-distances.
+set, reconstruction, cross-validated truncation selection, coefficient
+distances, and the seeded held-out split that hyperparameter searches share.
 """
 
 from __future__ import annotations
@@ -332,6 +332,12 @@ def project(
     return CoefficientVector(index_set, project_coefficients(obs, index_set))
 
 
+def project_all(observations, index_set: BasisIndexSet) -> np.ndarray:
+    """Projection coefficients of many observations, one row each; every
+    row passes ``project``'s checks (finite coefficients included)."""
+    return np.vstack([project(obs, index_set).coefficients for obs in observations])
+
+
 def reconstruct(coeffs: CoefficientVector, x):
     """Evaluate the truncated series sum_alpha c_alpha * phi_alpha at x.
 
@@ -396,3 +402,12 @@ def select_truncation(
             sse[i] += ((pred - y[test]) ** 2).sum()
     # argmin returns the first (smallest) radius on ties
     return radii[int(np.argmin(sse))]
+
+
+def holdout_split(n: int, seed: int):
+    """The seeded held-out split of every hyperparameter search: (held_out,
+    fitting) index arrays, the first round(0.2 * n) entries (at least one)
+    of ``default_rng(seed).permutation(n)`` held out."""
+    order = np.random.default_rng(seed).permutation(n)
+    n_val = max(1, int(round(0.2 * n)))
+    return order[:n_val], order[n_val:]

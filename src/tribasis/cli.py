@@ -5,6 +5,9 @@ JSON lines (one observation pair per line); raw scalar series are plain
 one-number-per-line text. Reports are JSON documents whose non-timing
 fields reproduce exactly from the recorded seed and config.
 
+`fit` and `bench` share ``resolve_index_sets`` and ``fit_estimator``;
+`synth` and `bench` share ``synthetic_task``.
+
 `eval` and `bench` score function-space MSE exactly, by Parseval: the basis
 is orthonormal, so the integrated squared error of two truncated series is
 their squared coefficient distance on the union of their index sets. This
@@ -35,11 +38,12 @@ from .basis import (
     SobolevSpec,
     design_matrix,
     enumerate_ball,
-    project,
+    project_all,
 )
 from .features import sample_feature_map
 from .modelio import load_model, save_model
-from .regress import TripleBasisModel, average_truncation_radius, fit, fit_cv, predict_coeffs
+from .regress import LAMBDA_GRID, SIGMA_GRID, TripleBasisModel
+from .regress import average_truncation_radius, fit, fit_cv, predict_coeffs
 from .synth import SyntheticConfig, generate_dataset, make_mapping
 
 REPORT_FORMAT_VERSION = 1
@@ -86,14 +90,12 @@ def write_dataset(pairs, path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def ingest_dataset(path, fmt: str = "jsonl", require_output: bool = True):
-    """Read and validate a dataset file; returns (input, output) pairs.
+def ingest_dataset(path, require_output: bool = True):
+    """Read and validate a JSON-lines dataset; returns (input, output) pairs.
 
     All inputs must share one dimension, likewise all outputs; offending
     lines are named in the error.
     """
-    if fmt != "jsonl":
-        raise DatasetFormatError(f"unknown dataset format {fmt!r}; known: jsonl")
     pairs = []
     in_dim = out_dim = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -397,7 +399,7 @@ def evaluate_model(
 
 
 # --------------------------------------------------------------------------
-# benchmark harness
+# benchmark harness and the fit pipeline shared with `fit` and `synth`
 
 
 @dataclass
@@ -426,9 +428,8 @@ class BenchmarkConfig:
     radius_out: float | None = None
     radius_candidates: tuple = DEFAULT_RADII
     folds: int = 5
-    sigma_grid: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    lambda_grid: tuple = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-    bandwidth_grid: tuple | None = None
+    sigma_grid: tuple = SIGMA_GRID
+    lambda_grid: tuple = LAMBDA_GRID
     fixed_sigma: float | None = None
     fixed_lambda: float | None = None
     report_path: str | None = None
@@ -441,30 +442,100 @@ def default_feature_count(points_per_function: int) -> int:
     return min(MAX_FEATURES, int(math.ceil(n * math.log(n))))
 
 
+def synthetic_task(seed: int, instances: int, points=100, noise=0.1, anchors=25,
+                   map_sigma=1.0, dim_in=1, dim_out=1, amplitude_in=2.0,
+                   amplitude_out=2.0):
+    """Noisy pairs through a random anchor mapping between unit-weight
+    Sobolev ellipsoids, seeded by children 0 and 1 of ``SeedSequence(seed)``.
+
+    Returns (pairs, truth_matrix, truth_set): one row of exact output
+    coefficients over truth_set per pair.
+    """
+    map_seed, data_seed = (
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)
+    )
+    input_spec = SobolevSpec(np.ones(dim_in), np.ones(dim_in), amplitude_in)
+    output_spec = SobolevSpec(np.ones(dim_out), np.ones(dim_out), amplitude_out)
+    mapping = make_mapping(
+        input_spec, output_spec, n_anchors=anchors, sigma=map_sigma, seed=map_seed
+    )
+    pairs, _, truths = generate_dataset(
+        SyntheticConfig(input_spec, output_spec, noise, points, instances, data_seed),
+        mapping, return_truth=True,
+    )
+    truth_matrix = np.vstack([t.coefficients for t in truths])
+    return pairs, truth_matrix, mapping.output_index_set
+
+
+def resolve_index_sets(pairs, radius_in, radius_out, folds,
+                       candidate_radii=DEFAULT_RADII):
+    """Input and output index sets of a fit: Euclidean balls of the given
+    truncation radii, a radius left None being ``average_truncation_radius``
+    of that side's observations.
+
+    Returns (input_set, output_set, radius_in, radius_out).
+    """
+    radii = []
+    for side, radius in enumerate((radius_in, radius_out)):
+        if radius is None:
+            radius = average_truncation_radius(
+                [pair[side] for pair in pairs], candidate_radii, folds
+            )
+        radii.append(float(radius))
+    input_set = enumerate_ball(pairs[0][0].dimension, radii[0])
+    output_set = enumerate_ball(pairs[0][1].dimension, radii[1])
+    return input_set, output_set, radii[0], radii[1]
+
+
+def fit_estimator(method: str, pairs, input_set: BasisIndexSet,
+                  output_set: BasisIndexSet, seed: int, feature_count=None,
+                  sigma=None, ridge_lambda=None, bandwidth=None,
+                  sigma_grid=SIGMA_GRID, lambda_grid=LAMBDA_GRID):
+    """Fit one of ``KNOWN_METHODS``. A given hyperparameter (``sigma``,
+    ``ridge_lambda``; ``bandwidth`` for the smoother) is used as is, one left
+    None is searched on the seeded held-out split; ``feature_count`` None
+    means ``default_feature_count``.
+
+    Returns (model, hyperparameters, validation_mse); validation_mse is None
+    when nothing was searched.
+    """
+    if method == "triple-basis":
+        if feature_count is None:
+            feature_count = default_feature_count(pairs[0][0].n)
+        if sigma is not None and ridge_lambda is not None:
+            fmap = sample_feature_map(len(input_set), feature_count, sigma, seed)
+            model = fit(pairs, input_set, output_set, fmap, ridge_lambda)
+            return model, {"sigma": float(sigma), "lambda": float(ridge_lambda)}, None
+        cv = fit_cv(
+            pairs, input_set, output_set, feature_count, seed,
+            bandwidth_grid=sigma_grid if sigma is None else (sigma,),
+            lambda_grid=lambda_grid if ridge_lambda is None else (ridge_lambda,),
+        )
+        hyper = {"sigma": cv.bandwidth, "lambda": cv.ridge_lambda}
+        return cv.model, hyper, cv.validation_mse
+    if method == "linear-smoother":
+        if bandwidth is not None:
+            model, mse = lse_fit(pairs, input_set, output_set, bandwidth), None
+        else:
+            model, mse = lse_fit_cv(pairs, input_set, output_set, None, seed)
+        return model, {"bandwidth": model.bandwidth}, mse
+    if method == "mean":
+        mean = project_all([q for _, q in pairs], output_set).mean(axis=0)
+        return MeanPredictorModel(output_set, mean), {}, None
+    raise ValueError(f"unknown method {method!r}; known: {list(KNOWN_METHODS)}")
+
+
 def _split_pairs(pairs, config: BenchmarkConfig):
     n = len(pairs)
     n_test = max(1, int(round(config.test_fraction * n)))
     if n_test >= n:
         raise ValueError("dataset too small to split into train and test")
     if config.ordered_split:
-        return pairs[: n - n_test], pairs[n - n_test :], None
+        return pairs[: n - n_test], pairs[n - n_test :]
     order = np.random.default_rng(config.seed).permutation(n)
     train = [pairs[i] for i in order[: n - n_test]]
     test = [pairs[i] for i in order[n - n_test :]]
-    return train, test, order[n - n_test :]
-
-
-def _derive_bandwidth_grid(train_inputs: np.ndarray, seed: int):
-    n = train_inputs.shape[0]
-    take = min(n, 200)
-    idx = np.random.default_rng(seed).choice(n, size=take, replace=False)
-    sub = train_inputs[idx]
-    diffs = sub[:, None, :] - sub[None, :, :]
-    dists = np.sqrt((diffs * diffs).sum(axis=2))
-    med = float(np.median(dists[np.triu_indices(take, k=1)])) if take > 1 else 0.0
-    if med <= 0:
-        med = 1.0
-    return tuple(med * m for m in (0.25, 0.5, 1.0, 2.0, 4.0))
+    return train, test
 
 
 def run_benchmark(config: BenchmarkConfig) -> dict:
@@ -478,117 +549,50 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         )
     if not config.methods:
         raise ValueError(f"no methods requested; known: {list(KNOWN_METHODS)}")
+    if not 0.0 < config.test_fraction < 1.0:
+        raise ValueError(f"test fraction {config.test_fraction!r} is not in (0, 1)")
+    if config.train_count < 1 or config.test_count < 1:
+        raise ValueError("train and test counts must be at least 1")
 
-    seedseq = np.random.SeedSequence(config.seed)
-    map_seed, data_seed, cv_seed = (s.generate_state(1)[0] for s in seedseq.spawn(3))
-
-    truth_all = None
-    truth_set = None
+    # children 0 and 1 of the seed sequence seed the synthetic task
+    cv_seed = int(np.random.SeedSequence(config.seed).spawn(3)[2].generate_state(1)[0])
     if config.data_path is not None:
         pairs = ingest_dataset(config.data_path)
         if any(q is None for _, q in pairs):
             raise ValueError("benchmark dataset lines must carry outputs")
-        train, test, test_idx = _split_pairs(pairs, config)
+        train, test = _split_pairs(pairs, config)
     else:
-        input_spec = SobolevSpec(
-            np.ones(config.input_dim), np.ones(config.input_dim),
-            config.input_amplitude,
+        pairs, truth_all, truth_set = synthetic_task(
+            config.seed, config.train_count + config.test_count,
+            points=config.points_per_function, noise=config.noise_sd,
+            anchors=config.anchor_count, map_sigma=config.map_sigma,
+            dim_in=config.input_dim, dim_out=config.output_dim,
+            amplitude_in=config.input_amplitude,
+            amplitude_out=config.output_amplitude,
         )
-        output_spec = SobolevSpec(
-            np.ones(config.output_dim), np.ones(config.output_dim),
-            config.output_amplitude,
-        )
-        mapping = make_mapping(
-            input_spec, output_spec, n_anchors=config.anchor_count,
-            sigma=config.map_sigma, seed=int(map_seed),
-        )
-        synth_config = SyntheticConfig(
-            input_spec=input_spec,
-            output_spec=output_spec,
-            noise_sd=config.noise_sd,
-            points_per_function=config.points_per_function,
-            instance_count=config.train_count + config.test_count,
-            seed=int(data_seed),
-        )
-        pairs, _, truths_out = generate_dataset(synth_config, mapping, return_truth=True)
         train, test = pairs[: config.train_count], pairs[config.train_count :]
-        truth_set = mapping.output_index_set
-        truth_all = np.vstack([t.coefficients for t in truths_out])
         truth_all = truth_all[config.train_count :]
 
-    in_dim = train[0][0].dimension
-    out_dim = train[0][1].dimension
-    n_points = train[0][0].n
-
-    if config.radius_in is not None:
-        t_in = float(config.radius_in)
-    else:
-        t_in = average_truncation_radius(
-            [p for p, _ in train], config.radius_candidates, config.folds
-        )
-    if config.radius_out is not None:
-        t_out = float(config.radius_out)
-    else:
-        t_out = average_truncation_radius(
-            [q for _, q in train], config.radius_candidates, config.folds
-        )
-    input_set = enumerate_ball(in_dim, t_in)
-    output_set = enumerate_ball(out_dim, t_out)
-
-    if truth_set is None:
-        truth_set = output_set
-        truth_all = np.vstack(
-            [project(q, output_set).coefficients for _, q in test]
-        )
-
-    feature_count = config.feature_count or default_feature_count(n_points)
-    train_out_coeffs = np.vstack(
-        [project(q, output_set).coefficients for _, q in train]
+    input_set, output_set, t_in, t_out = resolve_index_sets(
+        train, config.radius_in, config.radius_out, config.folds,
+        config.radius_candidates,
     )
+    if config.data_path is not None:
+        truth_set = output_set
+        truth_all = project_all([q for _, q in test], output_set)
 
     records = []
     for method in config.methods:
-        hyper = {}
         t0 = time.perf_counter()
-        if method == "triple-basis":
-            if config.fixed_sigma is not None and config.fixed_lambda is not None:
-                fmap = sample_feature_map(
-                    len(input_set), feature_count, config.fixed_sigma, int(cv_seed)
-                )
-                model = fit(train, input_set, output_set, fmap, config.fixed_lambda)
-                hyper = {
-                    "sigma": float(config.fixed_sigma),
-                    "lambda": float(config.fixed_lambda),
-                }
-            else:
-                sigma_grid = (
-                    (config.fixed_sigma,) if config.fixed_sigma is not None
-                    else config.sigma_grid
-                )
-                lambda_grid = (
-                    (config.fixed_lambda,) if config.fixed_lambda is not None
-                    else config.lambda_grid
-                )
-                cv = fit_cv(
-                    train, input_set, output_set, feature_count, int(cv_seed),
-                    bandwidth_grid=sigma_grid, lambda_grid=lambda_grid,
-                )
-                model = cv.model
-                hyper = {"sigma": cv.bandwidth, "lambda": cv.ridge_lambda}
-            if config.model_out:
-                save_model(model, config.model_out)
-        elif method == "linear-smoother":
-            grid = config.bandwidth_grid
-            if grid is None:
-                train_in_coeffs = np.vstack(
-                    [project(p, input_set).coefficients for p, _ in train]
-                )
-                grid = _derive_bandwidth_grid(train_in_coeffs, int(cv_seed))
-            model, _ = lse_fit_cv(train, input_set, output_set, grid, int(cv_seed))
-            hyper = {"bandwidth": model.bandwidth}
-        else:  # mean
-            model = MeanPredictorModel(output_set, train_out_coeffs.mean(axis=0))
+        model, hyper, _ = fit_estimator(
+            method, train, input_set, output_set, cv_seed,
+            feature_count=config.feature_count, sigma=config.fixed_sigma,
+            ridge_lambda=config.fixed_lambda, sigma_grid=config.sigma_grid,
+            lambda_grid=config.lambda_grid,
+        )
         fit_seconds = time.perf_counter() - t0
+        if method == "triple-basis" and config.model_out:
+            save_model(model, config.model_out)
 
         mse, mpt, _ = evaluate_model(model, test, truth_all, truth_set)
         records.append(
@@ -598,10 +602,10 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
                 "mpt_seconds": mpt,
                 "fit_seconds": fit_seconds,
                 "N": len(train),
-                "n": n_points,
+                "n": train[0][0].n,
                 "s": len(input_set),
                 "r": len(output_set),
-                "D": feature_count if method == "triple-basis" else 0,
+                "D": model.feature_map.feature_count if method == "triple-basis" else 0,
                 "seed": config.seed,
                 "hyperparameters": hyper,
             }
@@ -628,8 +632,6 @@ def _config_doc(config: BenchmarkConfig) -> dict:
     doc["radius_candidates"] = list(config.radius_candidates)
     doc["sigma_grid"] = list(config.sigma_grid)
     doc["lambda_grid"] = list(config.lambda_grid)
-    if config.bandwidth_grid is not None:
-        doc["bandwidth_grid"] = list(config.bandwidth_grid)
     return doc
 
 
@@ -731,54 +733,17 @@ def _cmd_fit(args) -> int:
     pairs = ingest_dataset(args.data)
     if any(q is None for _, q in pairs):
         raise ValueError("fit needs 'output' observations on every line")
-    in_dim, out_dim = pairs[0][0].dimension, pairs[0][1].dimension
-    t_in = args.radius_in
-    if t_in is None:
-        t_in = average_truncation_radius(
-            [p for p, _ in pairs], DEFAULT_RADII, args.folds
-        )
-    t_out = args.radius_out
-    if t_out is None:
-        t_out = average_truncation_radius(
-            [q for _, q in pairs], DEFAULT_RADII, args.folds
-        )
-    input_set = enumerate_ball(in_dim, t_in)
-    output_set = enumerate_ball(out_dim, t_out)
-
-    if args.method == "triple-basis":
-        n_points = pairs[0][0].n
-        feature_count = args.features or default_feature_count(n_points)
-        if args.sigma is not None and args.ridge_lambda is not None:
-            fmap = sample_feature_map(
-                len(input_set), feature_count, args.sigma, args.seed
-            )
-            model = fit(pairs, input_set, output_set, fmap, args.ridge_lambda)
-        else:
-            sigma_grid = (
-                (args.sigma,) if args.sigma is not None
-                else (0.25, 0.5, 1.0, 2.0, 4.0)
-            )
-            lambda_grid = (
-                (args.ridge_lambda,) if args.ridge_lambda is not None
-                else (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-            )
-            cv = fit_cv(
-                pairs, input_set, output_set, feature_count, args.seed,
-                bandwidth_grid=sigma_grid, lambda_grid=lambda_grid,
-            )
-            model = cv.model
-            print(
-                f"selected sigma={cv.bandwidth:g} lambda={cv.ridge_lambda:g} "
-                f"(validation mse {cv.validation_mse:.6g})"
-            )
-    else:
-        if args.bandwidth is not None:
-            model = lse_fit(pairs, input_set, output_set, args.bandwidth)
-        else:
-            tin = np.vstack([project(p, input_set).coefficients for p, _ in pairs])
-            grid = _derive_bandwidth_grid(tin, args.seed)
-            model, _ = lse_fit_cv(pairs, input_set, output_set, grid, args.seed)
-            print(f"selected bandwidth={model.bandwidth:g}")
+    input_set, output_set, _, _ = resolve_index_sets(
+        pairs, args.radius_in, args.radius_out, args.folds
+    )
+    model, hyper, validation_mse = fit_estimator(
+        args.method, pairs, input_set, output_set, args.seed,
+        feature_count=args.features, sigma=args.sigma,
+        ridge_lambda=args.ridge_lambda, bandwidth=args.bandwidth,
+    )
+    if validation_mse is not None:
+        chosen = " ".join(f"{name}={value:g}" for name, value in hyper.items())
+        print(f"selected {chosen} (validation mse {validation_mse:.6g})")
     save_model(model, args.model)
     print(f"saved {args.method} model to {args.model}")
     return 0
@@ -806,7 +771,7 @@ def _cmd_eval(args) -> int:
     if any(q is None for _, q in pairs):
         raise ValueError("eval needs 'output' observations on every line")
     output_set = model.output_index_set
-    truth = np.vstack([project(q, output_set).coefficients for _, q in pairs])
+    truth = project_all([q for _, q in pairs], output_set)
     mse, mpt, _ = evaluate_model(model, pairs, truth, output_set)
     print(f"mse={mse:.8g} mpt_seconds={mpt:.6g} instances={len(pairs)}")
     if args.report:
@@ -858,27 +823,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    input_spec = SobolevSpec(
-        np.ones(args.dim_in), np.ones(args.dim_in), args.amplitude_in
+    pairs, _, _ = synthetic_task(
+        args.seed, args.instances, points=args.points, noise=args.noise,
+        anchors=args.anchors, map_sigma=args.map_sigma, dim_in=args.dim_in,
+        dim_out=args.dim_out, amplitude_in=args.amplitude_in,
+        amplitude_out=args.amplitude_out,
     )
-    output_spec = SobolevSpec(
-        np.ones(args.dim_out), np.ones(args.dim_out), args.amplitude_out
-    )
-    seedseq = np.random.SeedSequence(args.seed)
-    map_seed, data_seed = (s.generate_state(1)[0] for s in seedseq.spawn(2))
-    mapping = make_mapping(
-        input_spec, output_spec, n_anchors=args.anchors,
-        sigma=args.map_sigma, seed=int(map_seed),
-    )
-    config = SyntheticConfig(
-        input_spec=input_spec,
-        output_spec=output_spec,
-        noise_sd=args.noise,
-        points_per_function=args.points,
-        instance_count=args.instances,
-        seed=int(data_seed),
-    )
-    pairs = generate_dataset(config, mapping)
     write_dataset(pairs, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0

@@ -19,14 +19,24 @@ from .basis import (
     BasisIndexSet,
     CoefficientVector,
     FunctionObservation,
-    project,
+    holdout_split,
+    project_all,
     project_coefficients,
+    reconstruct,
     select_truncation,
 )
-from .features import RksFeatureMap, compute_features, compute_features_batch
+from .features import (
+    RksFeatureMap,
+    compute_features,
+    compute_features_batch,
+    sample_feature_map,
+)
 
 DEFAULT_MAX_CONDITION = 1e12
 _BATCH_ROWS = 4096
+# default hyperparameter grids of the triple-basis search
+SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+LAMBDA_GRID = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 class IllConditionedError(RuntimeError):
@@ -131,17 +141,13 @@ def _accumulate_matrices(
     return TrainingSummary(gram, cross, n)
 
 
-def solve(
-    summary: TrainingSummary,
-    ridge_lambda: float,
-    max_condition: float = DEFAULT_MAX_CONDITION,
-) -> np.ndarray:
+def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
     """Solve (gram + lambda * I) psi = cross for the coefficient matrix.
 
     lambda = 0 is ordinary least squares and requires the Gram matrix to be
-    numerically non-singular; a condition estimate past ``max_condition``
-    raises IllConditionedError. Borderline ridgeless systems fall back to a
-    pivoted symmetric solve.
+    numerically non-singular; a condition estimate past
+    ``DEFAULT_MAX_CONDITION`` raises IllConditionedError. Borderline
+    ridgeless systems fall back to a pivoted symmetric solve.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge penalty must be non-negative")
@@ -161,13 +167,13 @@ def solve(
         factor = sla.cho_factor(lhs, lower=True, check_finite=False)
     except sla.LinAlgError:
         cond = np.linalg.cond(lhs)
-        raise IllConditionedError(cond, max_condition) from None
+        raise IllConditionedError(cond, DEFAULT_MAX_CONDITION) from None
     anorm = np.abs(lhs).sum(axis=0).max()
     rcond, info = sla.lapack.dpocon(factor[0], anorm, uplo="L")
     cond = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
-    if cond > max_condition:
-        raise IllConditionedError(cond, max_condition)
-    if cond > max_condition * 1e-4:
+    if cond > DEFAULT_MAX_CONDITION:
+        raise IllConditionedError(cond, DEFAULT_MAX_CONDITION)
+    if cond > DEFAULT_MAX_CONDITION * 1e-4:
         # borderline: pivoted symmetric (Bunch-Kaufman) solve is sturdier
         return sla.solve(lhs, summary.cross, assume_a="sym", check_finite=False)
     return sla.cho_solve(factor, summary.cross, check_finite=False)
@@ -212,7 +218,6 @@ def fit(
     output_index_set: BasisIndexSet,
     fmap: RksFeatureMap,
     ridge_lambda: float = 0.0,
-    max_condition: float = DEFAULT_MAX_CONDITION,
 ) -> TripleBasisModel:
     """Project every observation pair, accumulate, solve, wrap as a model.
 
@@ -221,14 +226,10 @@ def fit(
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    inputs = np.vstack(
-        [project(p, input_index_set).coefficients for p, _ in dataset]
-    )
-    outputs = np.vstack(
-        [project(q, output_index_set).coefficients for _, q in dataset]
-    )
+    inputs = project_all([p for p, _ in dataset], input_index_set)
+    outputs = project_all([q for _, q in dataset], output_index_set)
     summary = _accumulate_matrices(inputs, outputs, fmap)
-    psi = solve(summary, ridge_lambda, max_condition)
+    psi = solve(summary, ridge_lambda)
     return TripleBasisModel(
         input_index_set=input_index_set,
         output_index_set=output_index_set,
@@ -254,8 +255,6 @@ def predict_coeffs(
 
 def predict_function(model: TripleBasisModel, input_obs: FunctionObservation, x):
     """Predicted output function evaluated at x (point or batch)."""
-    from .basis import reconstruct
-
     return reconstruct(predict_coeffs(model, input_obs), x)
 
 
@@ -263,17 +262,16 @@ def average_truncation_radius(
     observations,
     candidate_radii,
     folds: int = 5,
-    subset_limit: int = 50,
 ) -> float:
     """Average of per-observation cross-validated truncation radii.
 
-    Only the first ``subset_limit`` observations are cross-validated; small
-    subsets are known to give stable averages at a fraction of the cost.
+    Only the first 50 observations are cross-validated; small subsets are
+    known to give stable averages at a fraction of the cost.
     """
     observations = list(observations)
     if not observations:
         raise ValueError("need at least one observation")
-    subset = observations[: max(1, min(subset_limit, len(observations)))]
+    subset = observations[:50]
     radii = [select_truncation(o, candidate_radii, folds) for o in subset]
     return float(np.mean(radii))
 
@@ -295,30 +293,22 @@ def fit_cv(
     output_index_set: BasisIndexSet,
     feature_count: int,
     seed: int,
-    bandwidth_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-    lambda_grid=(1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0),
-    holdout_fraction: float = 0.2,
+    bandwidth_grid=SIGMA_GRID,
+    lambda_grid=LAMBDA_GRID,
 ) -> CvResult:
-    """Grid-search (bandwidth, ridge) on one seeded 80/20 split, scored by
-    held-out output-coefficient mean squared error, then refit on all data.
+    """Grid-search (bandwidth, ridge) on the seeded held-out split
+    (``holdout_split``), scored by held-out output-coefficient mean squared
+    error, then refit on all data.
 
     Ties keep the first grid point in iteration order.
     """
-    from .features import sample_feature_map
-
     dataset = list(dataset)
     if len(dataset) < 2:
         raise ValueError("hyperparameter search needs at least two instances")
-    inputs = np.vstack(
-        [project(p, input_index_set).coefficients for p, _ in dataset]
-    )
-    outputs = np.vstack(
-        [project(q, output_index_set).coefficients for _, q in dataset]
-    )
+    inputs = project_all([p for p, _ in dataset], input_index_set)
+    outputs = project_all([q for _, q in dataset], output_index_set)
     n = len(dataset)
-    order = np.random.default_rng(seed).permutation(n)
-    n_val = max(1, int(round(holdout_fraction * n)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
+    val_idx, train_idx = holdout_split(n, seed)
 
     best = None
     grid_log = []

@@ -1,52 +1,11 @@
-"""Backend kernels: the jitted and NumPy paths must agree, and the env flag
-must select the fallback."""
-
-import os
-import subprocess
-import sys
+"""The cosine design-matrix kernel."""
 
 import numpy as np
-import pytest
 
 from tribasis import _accel
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_cosine_design_paths_agree(dim):
-    if _accel.cosine_design_numba is None:
-        pytest.skip("numba backend not active")
-    rng = np.random.default_rng(7)
-    points = rng.uniform(size=(64, dim))
-    indices = rng.integers(0, 9, size=(23, dim)).astype(np.int64)
-    a = _accel.cosine_design_numpy(points, indices)
-    b = _accel.cosine_design_numba(points, indices)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_rks_feature_paths_agree():
-    if _accel.rks_features_numba is None:
-        pytest.skip("numba backend not active")
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((17, 5))
-    freqs = rng.standard_normal((40, 5))
-    phases = rng.uniform(0, 2 * np.pi, 40)
-    scale = np.sqrt(2.0 / 40)
-    a = _accel.rks_features_numpy(x, freqs, phases, scale)
-    b = _accel.rks_features_numba(x, freqs, phases, scale)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "import tribasis; print(tribasis.backend_name())"
-    env = dict(os.environ, TRIBASIS_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
 def test_empty_index_set_design():
     points = np.random.default_rng(0).uniform(size=(5, 2))
-    out = _accel.cosine_design_numpy(points, np.zeros((0, 2), dtype=np.int64))
+    out = _accel.cosine_design(points, np.zeros((0, 2), dtype=np.int64))
     assert out.shape == (5, 0)

@@ -201,6 +201,22 @@ def test_bandwidth_cv_matches_per_row_loop(monkeypatch):
     assert mse == pytest.approx(loop_mses[best], rel=1e-12)
 
 
+def test_bandwidth_cv_default_grid_is_median_scaled():
+    # 260 training inputs: the median is taken over a seeded subsample of 200
+    train, _, _ = identity_task(14, 260, 0, 40)
+    uset = enumerate_ball(1, 3.0)
+    model, mse = lse_fit_cv(train, uset, uset, None, seed=8)
+
+    tin = np.vstack([project(p, uset).coefficients for p, _ in train])
+    sub = tin[np.random.default_rng(8).choice(len(train), size=200, replace=False)]
+    dists = [np.linalg.norm(sub[i] - sub[j])
+             for i in range(len(sub)) for j in range(i + 1, len(sub))]
+    grid = tuple(np.median(dists) * m for m in (0.25, 0.5, 1.0, 2.0, 4.0))
+    explicit, explicit_mse = lse_fit_cv(train, uset, uset, grid, seed=8)
+    assert model.bandwidth == pytest.approx(explicit.bandwidth, rel=1e-12)
+    assert mse == pytest.approx(explicit_mse, rel=1e-12)
+
+
 def test_fit_validation():
     uset = enumerate_ball(1, 2.0)
     with pytest.raises(ValueError):

@@ -10,11 +10,16 @@ from tribasis import (
     SobolevSpec,
     SyntheticConfig,
     enumerate_ball,
+    fit,
+    fit_cv,
     generate_dataset,
     load_model,
+    lse_fit,
+    lse_fit_cv,
     make_mapping,
     predict_coeffs,
     project,
+    sample_feature_map,
 )
 from tribasis.cli import (
     BenchmarkConfig,
@@ -23,12 +28,14 @@ from tribasis.cli import (
     SeriesWindowing,
     coefficient_mse,
     evaluate_model,
+    fit_estimator,
     ingest_dataset,
     main,
     midpoint_grid,
     quadrature_mse,
     read_series,
     run_benchmark,
+    synthetic_task,
     window_series,
     write_dataset,
 )
@@ -110,11 +117,6 @@ def test_missing_output_when_required(tmp_path):
         ingest_dataset(path)
     loaded = ingest_dataset(path, require_output=False)
     assert loaded[0][1] is None
-
-
-def test_unknown_format():
-    with pytest.raises(DatasetFormatError, match="jsonl"):
-        ingest_dataset("whatever.bin", fmt="csv")
 
 
 def test_read_series_errors(tmp_path):
@@ -433,6 +435,30 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--help"]) == 0
 
 
+def test_cli_rejects_out_of_range_flags(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    write_dataset(_small_dataset(n_pairs=10, n_points=20), data)
+    fit_args = ["fit", "--data", str(data), "--model", str(tmp_path / "m.json"),
+                "--radius-in", "2", "--radius-out", "2", "--features", "0"]
+    bench_args = ["bench", "--report", str(tmp_path / "r.json"),
+                  "--methods", "triple-basis", "--train-count", "10",
+                  "--test-count", "5", "--points", "20",
+                  "--radius-in", "2", "--radius-out", "2"]
+    rejected = [
+        (fit_args + ["--sigma", "1", "--lambda", "0.1"], "feature_count"),
+        (fit_args, "feature_count"),
+        (bench_args + ["--features", "0"], "feature_count"),
+        (bench_args + ["--test-fraction", "0"], "test fraction"),
+        (bench_args + ["--test-fraction", "-0.5"], "test fraction"),
+        (bench_args + ["--test-fraction", "1"], "test fraction"),
+        (bench_args + ["--train-count", "0"], "train and test counts"),
+    ]
+    for argv, message in rejected:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert message in capsys.readouterr().err, argv
+
+
 def test_constant_series_fit_predicts_constant(tmp_path):
     pairs, _ = window_series(np.full(512, 3.25), SeriesWindowing(window_length=32))
     from tribasis import enumerate_ball as _ball, fit as _fit, predict_coeffs
@@ -447,12 +473,64 @@ def test_constant_series_fit_predicts_constant(tmp_path):
     assert np.abs(pred.coefficients).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "method, knobs, direct",
+    [
+        ("triple-basis", {"sigma": 1.0, "ridge_lambda": 1e-3},
+         lambda pairs, u: fit(pairs, u, u, sample_feature_map(len(u), 50, 1.0, 7),
+                              1e-3)),
+        ("triple-basis", {},
+         lambda pairs, u: fit_cv(pairs, u, u, 50, 7).model),
+        ("linear-smoother", {"bandwidth": 1.5},
+         lambda pairs, u: lse_fit(pairs, u, u, 1.5)),
+        ("linear-smoother", {},
+         lambda pairs, u: lse_fit_cv(pairs, u, u, None, 7)[0]),
+    ],
+    ids=["triple-basis-fixed", "triple-basis-search", "smoother-fixed",
+         "smoother-search"],
+)
+def test_fit_estimator_matches_direct_call(method, knobs, direct):
+    pairs = _small_dataset(n_pairs=30, n_points=40, seed=41)
+    uset = enumerate_ball(1, 3.0)
+    model, _, validation_mse = fit_estimator(
+        method, pairs, uset, uset, 7, feature_count=50, **knobs
+    )
+    expected = direct(pairs, uset)
+    assert (validation_mse is None) == bool(knobs)
+    if method == "triple-basis":
+        assert np.array_equal(model.psi, expected.psi)
+    else:
+        assert np.array_equal(model.train_inputs, expected.train_inputs)
+        assert model.bandwidth == expected.bandwidth
+
+
+def test_synth_writes_the_shared_builder_pairs(tmp_path):
+    out = tmp_path / "synth.jsonl"
+    assert main(["synth", "--out", str(out), "--instances", "6", "--points", "20",
+                 "--seed", "11"]) == 0
+    pairs, truth, truth_set = synthetic_task(11, 6, points=20)
+    assert truth.shape == (6, len(truth_set))
+
+    # the seed derivation the synthetic data has always had
+    map_seed, data_seed = (
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(11).spawn(2)
+    )
+    mapping = make_mapping(SPEC, SPEC, n_anchors=25, sigma=1.0, seed=map_seed)
+    config = SyntheticConfig(SPEC, SPEC, 0.1, 20, 6, data_seed)
+    direct = generate_dataset(config, mapping)
+    written_pairs = ingest_dataset(out)
+    assert len(written_pairs) == len(pairs) == len(direct) == 6
+    for written, built, drawn in zip(written_pairs, pairs, direct):
+        for a, b, c in zip(written, built, drawn):
+            for field in ("points", "values"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+                assert np.array_equal(getattr(b, field), getattr(c, field))
+
+
 def _config_from_report(doc):
     fields = dict(doc["config"])
     for key in ("methods", "radius_candidates", "sigma_grid", "lambda_grid"):
         fields[key] = tuple(fields[key])
-    if fields.get("bandwidth_grid") is not None:
-        fields["bandwidth_grid"] = tuple(fields["bandwidth_grid"])
     return BenchmarkConfig(**fields)
 
 
