@@ -730,6 +730,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
+    if args.method == "triple-basis":
+        other = {"--bandwidth": args.bandwidth}
+    else:
+        other = {"--sigma": args.sigma, "--lambda": args.ridge_lambda,
+                 "--features": args.features}
+    ignored = [flag for flag, value in other.items() if value is not None]
+    if ignored:
+        raise ValueError(f"{', '.join(ignored)} not used by --method {args.method}")
     pairs = ingest_dataset(args.data)
     if any(q is None for _, q in pairs):
         raise ValueError("fit needs 'output' observations on every line")

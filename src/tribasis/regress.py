@@ -3,8 +3,12 @@ input projection coefficients to output projection coefficients.
 
 Training accumulates the feature Gram matrix and the feature/target cross
 product, so memory stays O(D^2 + D*r) no matter how many instances are
-seen, and shards built independently merge by entrywise addition. The
-linear system is solved by a symmetric positive-definite factorization
+seen, and shards built independently merge by entrywise addition. With a
+positive ridge penalty and fewer training pairs N than features D, ``fit``
+and ``fit_cv`` solve the equivalent N x N dual system instead,
+psi = Z^T (Z Z^T + lambda I)^-1 Y, whose O(N*D) memory is below the
+Gram's O(D^2); ``accumulate`` and ``TrainingSummary.merge`` stay primal.
+The linear system is solved by a symmetric positive-definite factorization
 (ridge) or, for the plain least-squares case, a condition-guarded
 factorization with a pivoted symmetric fallback; an explicit inverse is
 never formed.
@@ -141,19 +145,34 @@ def _accumulate_matrices(
     return TrainingSummary(gram, cross, n)
 
 
+def _fit_psi(
+    inputs: np.ndarray, outputs: np.ndarray, fmap: RksFeatureMap, ridge_lambda: float
+) -> np.ndarray:
+    """psi for coefficient rows: with lambda > 0 and fewer rows than
+    features, Z^T alpha from the N x N dual system (Z Z^T + lambda I) alpha
+    = Y; otherwise the primal D x D normal equations."""
+    if ridge_lambda > 0 and inputs.shape[0] < fmap.feature_count:
+        z = compute_features_batch(fmap, inputs)
+        kernel = TrainingSummary(z @ z.T, outputs, inputs.shape[0])
+        return z.T @ solve(kernel, ridge_lambda)
+    return solve(_accumulate_matrices(inputs, outputs, fmap), ridge_lambda)
+
+
 def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
     """Solve (gram + lambda * I) psi = cross for the coefficient matrix.
 
     lambda = 0 is ordinary least squares and requires the Gram matrix to be
     numerically non-singular; a condition estimate past
     ``DEFAULT_MAX_CONDITION`` raises IllConditionedError. Borderline
-    ridgeless systems fall back to a pivoted symmetric solve.
+    ridgeless systems fall back to a pivoted symmetric solve. The summary
+    is never modified, so one summary serves a whole grid of penalties.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge penalty must be non-negative")
     lhs = summary.gram
     if ridge_lambda > 0:
-        lhs = lhs + ridge_lambda * np.eye(summary.feature_count)
+        lhs = lhs.copy()
+        lhs.flat[:: lhs.shape[0] + 1] += ridge_lambda
         try:
             factor = sla.cho_factor(lhs, lower=True, check_finite=False)
         except sla.LinAlgError:
@@ -219,17 +238,20 @@ def fit(
     fmap: RksFeatureMap,
     ridge_lambda: float = 0.0,
 ) -> TripleBasisModel:
-    """Project every observation pair, accumulate, solve, wrap as a model.
+    """Project every observation pair, solve the ridge system, wrap as a
+    model.
 
     ``dataset`` is a sequence of (input, output) FunctionObservation pairs.
+    With ``ridge_lambda`` > 0 and fewer pairs than features the N x N dual
+    system is solved; otherwise the D x D normal equations are accumulated
+    and solved.
     """
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be non-empty")
     inputs = project_all([p for p, _ in dataset], input_index_set)
     outputs = project_all([q for _, q in dataset], output_index_set)
-    summary = _accumulate_matrices(inputs, outputs, fmap)
-    psi = solve(summary, ridge_lambda)
+    psi = _fit_psi(inputs, outputs, fmap, ridge_lambda)
     return TripleBasisModel(
         input_index_set=input_index_set,
         output_index_set=output_index_set,
@@ -300,6 +322,11 @@ def fit_cv(
     (``holdout_split``), scored by held-out output-coefficient mean squared
     error, then refit on all data.
 
+    A positive penalty with fewer fitting rows than features is solved in
+    the dual, like ``fit``: per bandwidth the N x N training kernel and the
+    held-out cross kernel are built once and every penalty of the grid
+    reuses them.
+
     Ties keep the first grid point in iteration order.
     """
     dataset = list(dataset)
@@ -309,6 +336,7 @@ def fit_cv(
     outputs = project_all([q for _, q in dataset], output_index_set)
     n = len(dataset)
     val_idx, train_idx = holdout_split(n, seed)
+    n_fit = len(train_idx)
 
     best = None
     grid_log = []
@@ -316,12 +344,26 @@ def fit_cv(
         fmap = sample_feature_map(inputs.shape[1], feature_count, bw, seed)
         z_train = compute_features_batch(fmap, inputs[train_idx])
         z_val = compute_features_batch(fmap, inputs[val_idx])
-        summary = TrainingSummary(
-            z_train.T @ z_train, z_train.T @ outputs[train_idx], len(train_idx)
-        )
+        # (system, held-out design) pairs, each built on first use
+        primal = dual = None
         for lam in lambda_grid:
-            psi = solve(summary, lam)
-            resid = z_val @ psi - outputs[val_idx]
+            if lam > 0 and n_fit < feature_count:
+                if dual is None:
+                    dual = (
+                        TrainingSummary(z_train @ z_train.T, outputs[train_idx], n_fit),
+                        z_val @ z_train.T,
+                    )
+                system, design = dual
+            else:
+                if primal is None:
+                    primal = (
+                        TrainingSummary(
+                            z_train.T @ z_train, z_train.T @ outputs[train_idx], n_fit
+                        ),
+                        z_val,
+                    )
+                system, design = primal
+            resid = design @ solve(system, lam) - outputs[val_idx]
             mse = float((resid * resid).sum() / len(val_idx))
             grid_log.append({"bandwidth": bw, "ridge_lambda": lam, "mse": mse})
             if best is None or mse < best[0]:
@@ -329,8 +371,7 @@ def fit_cv(
 
     mse, bw, lam = best
     fmap = sample_feature_map(inputs.shape[1], feature_count, bw, seed)
-    summary = _accumulate_matrices(inputs, outputs, fmap)
-    psi = solve(summary, lam)
+    psi = _fit_psi(inputs, outputs, fmap, lam)
     model = TripleBasisModel(
         input_index_set=input_index_set,
         output_index_set=output_index_set,

@@ -438,8 +438,9 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_rejects_out_of_range_flags(tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     write_dataset(_small_dataset(n_pairs=10, n_points=20), data)
-    fit_args = ["fit", "--data", str(data), "--model", str(tmp_path / "m.json"),
-                "--radius-in", "2", "--radius-out", "2", "--features", "0"]
+    base_fit = ["fit", "--data", str(data), "--model", str(tmp_path / "m.json"),
+                "--radius-in", "2", "--radius-out", "2"]
+    fit_args = base_fit + ["--features", "0"]
     bench_args = ["bench", "--report", str(tmp_path / "r.json"),
                   "--methods", "triple-basis", "--train-count", "10",
                   "--test-count", "5", "--points", "20",
@@ -447,6 +448,12 @@ def test_cli_rejects_out_of_range_flags(tmp_path, capsys):
     rejected = [
         (fit_args + ["--sigma", "1", "--lambda", "0.1"], "feature_count"),
         (fit_args, "feature_count"),
+        # flags of the estimator not being fitted
+        (base_fit + ["--method", "linear-smoother", "--sigma", "1", "--lambda", "5",
+                     "--features", "10", "--bandwidth", "1.5"],
+         "--sigma, --lambda, --features not used by --method linear-smoother"),
+        (base_fit + ["--bandwidth", "1.5", "--sigma", "1", "--lambda", "0.01"],
+         "--bandwidth not used by --method triple-basis"),
         (bench_args + ["--features", "0"], "feature_count"),
         (bench_args + ["--test-fraction", "0"], "test fraction"),
         (bench_args + ["--test-fraction", "-0.5"], "test fraction"),

@@ -3,6 +3,7 @@ least-squares oracle, fitting, and prediction."""
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from helpers import identity_task
 from tribasis import (
@@ -12,6 +13,7 @@ from tribasis import (
     TrainingSummary,
     accumulate,
     average_truncation_radius,
+    compute_features_batch,
     enumerate_ball,
     fit,
     fit_cv,
@@ -22,6 +24,8 @@ from tribasis import (
     sample_feature_map,
     solve,
 )
+from tribasis import regress
+from tribasis.basis import holdout_split, project_all
 
 
 def _random_problem(rng, n=50, feature_count=20, targets=3):
@@ -169,6 +173,30 @@ def test_singular_gram_raises_named_condition():
     solve(summary, 1e-3)
 
 
+def test_solve_shifts_diagonal_like_identity_sum_and_keeps_gram():
+    # the diagonal shift must give exactly the psi of the old
+    # gram + lambda * eye(D) expression, on the Cholesky path and on the
+    # symmetric fallback, and leave the summary as it was for the next penalty
+    rng = np.random.default_rng(31)
+    z, a = _random_problem(rng)
+    definite = TrainingSummary(z.T @ z, z.T @ a, 50)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    indefinite = TrainingSummary((q * np.linspace(-1e-3, 1.0, 20)) @ q.T, z.T @ a, 50)
+    for summary, lams in ((definite, (1e-8, 1e-3, 1.0)), (indefinite, (1e-6,))):
+        gram = summary.gram.copy()
+        for lam in lams:
+            shifted = summary.gram + lam * np.eye(summary.feature_count)
+            try:
+                factor = sla.cho_factor(shifted, lower=True, check_finite=False)
+                old = sla.cho_solve(factor, summary.cross, check_finite=False)
+            except sla.LinAlgError:
+                assert summary is indefinite
+                old = sla.solve(shifted, summary.cross, assume_a="sym",
+                                check_finite=False)
+            assert np.array_equal(solve(summary, lam), old)
+            assert np.array_equal(summary.gram, gram)
+
+
 def test_negative_ridge_rejected():
     summary = TrainingSummary.zeros(3, 1)
     with pytest.raises(ValueError):
@@ -243,6 +271,86 @@ def test_fit_equals_accumulate_solve_composition():
     np.testing.assert_allclose(batched.cross, summary.cross, rtol=1e-10, atol=1e-14)
     psi = solve(summary, 1e-6)
     np.testing.assert_allclose(model.psi, psi, rtol=1e-6, atol=1e-10)
+    # more pairs than features: fit solves these primal normal equations
+    assert np.array_equal(model.psi, solve(batched, 1e-6))
+
+
+def _dual_task(seed, n_train=30, feature_count=80):
+    # fewer training pairs than features: the shape the dual solve is for
+    train, _, uset, _ = _tiny_task(seed, n_train=n_train)
+    fmap = sample_feature_map(len(uset), feature_count, 2.0, seed=seed + 1)
+    inputs = project_all([p for p, _ in train], uset)
+    outputs = project_all([q for _, q in train], uset)
+    return train, uset, fmap, inputs, outputs
+
+
+def test_fit_dual_matches_primal_and_augmented_lstsq(monkeypatch):
+    train, uset, fmap, inputs, outputs = _dual_task(22)
+    z = compute_features_batch(fmap, inputs)
+    n, d = z.shape
+    primal = TrainingSummary(z.T @ z, z.T @ outputs, n)
+
+    def no_gram(*args):
+        raise AssertionError("the D x D Gram was accumulated")
+
+    monkeypatch.setattr(regress, "_accumulate_matrices", no_gram)
+    for lam in (1e-4, 1e-2, 1.0):
+        psi = fit(train, uset, uset, fmap, lam).psi
+        reference = solve(primal, lam)
+        assert np.linalg.norm(psi - reference) <= 1e-10 * np.linalg.norm(reference)
+        # [Z; sqrt(lambda) I] psi = [Y; 0] in the least-squares sense
+        oracle = _lstsq_oracle(
+            np.vstack([z, np.sqrt(lam) * np.eye(d)]),
+            np.vstack([outputs, np.zeros((d, outputs.shape[1]))]),
+        )
+        assert np.linalg.norm(psi - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_fit_ridgeless_with_fewer_pairs_than_features_raises():
+    train, uset, fmap, _, _ = _dual_task(23)
+    with pytest.raises(IllConditionedError):
+        fit(train, uset, uset, fmap, 0.0)
+
+
+def test_fit_cv_dual_search_matches_primal_reference(monkeypatch):
+    train, uset, _, inputs, outputs = _dual_task(25, n_train=40)
+    feature_count, seed = 80, 7
+    sigmas, lams = (0.5, 1.0, 2.0, 4.0), (1e-6, 1e-4, 1e-2, 1.0)
+    system_shapes = []
+
+    def recording_solve(summary, ridge_lambda):
+        system_shapes.append(summary.gram.shape)
+        return solve(summary, ridge_lambda)
+
+    monkeypatch.setattr(regress, "solve", recording_solve)
+    result = fit_cv(train, uset, uset, feature_count, seed,
+                    bandwidth_grid=sigmas, lambda_grid=lams)
+    val_idx, fit_idx = holdout_split(len(train), seed)
+    n_fit = len(fit_idx)
+    assert n_fit < feature_count
+    # every search solve and the refit on all pairs are dual
+    assert system_shapes == [(n_fit, n_fit)] * len(result.grid) + [(40, 40)]
+    reference = []
+    for bw in sigmas:
+        fmap = sample_feature_map(len(uset), feature_count, bw, seed)
+        z_fit = compute_features_batch(fmap, inputs[fit_idx])
+        z_val = compute_features_batch(fmap, inputs[val_idx])
+        summary = TrainingSummary(
+            z_fit.T @ z_fit, z_fit.T @ outputs[fit_idx], len(fit_idx)
+        )
+        for lam in lams:
+            resid = z_val @ solve(summary, lam) - outputs[val_idx]
+            reference.append((float((resid * resid).sum() / len(val_idx)), bw, lam))
+    assert [(g["bandwidth"], g["ridge_lambda"]) for g in result.grid] == [
+        (bw, lam) for _, bw, lam in reference
+    ]
+    for entry, (mse, _, _) in zip(result.grid, reference):
+        assert entry["mse"] == pytest.approx(mse, rel=1e-6)
+    _, best_bw, best_lam = min(reference, key=lambda r: r[0])
+    assert (result.bandwidth, result.ridge_lambda) == (best_bw, best_lam)
+    refit = fit(train, uset, uset,
+                sample_feature_map(len(uset), feature_count, best_bw, seed), best_lam)
+    assert np.array_equal(result.model.psi, refit.psi)
 
 
 def test_predict_matches_manual_recomposition():
