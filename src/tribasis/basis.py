@@ -7,6 +7,11 @@ module covers index-set enumeration (Euclidean and smoothness-weighted
 balls), empirical projection of noisy function observations onto an index
 set, reconstruction, cross-validated truncation selection, coefficient
 distances, and the seeded held-out split that hyperparameter searches share.
+
+Projection and truncation selection take their cosine design from a
+one-entry memo keyed on the exact sample points and multi-indices, so
+observations that share a sample grid, such as every window written by
+``tribasis window``, share one design instead of rebuilding it per call.
 """
 
 from __future__ import annotations
@@ -302,6 +307,33 @@ def enumerate_kappa_ball(spec: SobolevSpec, radius: float) -> BasisIndexSet:
     )
 
 
+# (key, design) of the last design built by _shared_design; stored and read
+# as one tuple, so a reader never pairs one entry's key with another's design
+_design_memo = None
+
+
+def _shared_design(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Read-only ``cosine_design(points, indices)``, reused while consecutive
+    calls pass bitwise-equal points and indices.
+
+    The key holds owned byte copies of both arrays, so mutating an array
+    after the call cannot make a stale design match; comparing keys stops
+    at the first differing byte. Only projection-sized designs go through
+    here: the quadrature grids of ``design_matrix`` and ``reconstruct``
+    would stay resident.
+    """
+    global _design_memo
+    key = (points.shape, indices.shape, points.dtype, indices.dtype,
+           points.tobytes(), indices.tobytes())
+    memo = _design_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    design = cosine_design(points, indices)
+    design.setflags(write=False)
+    _design_memo = (key, design)
+    return design
+
+
 def project_coefficients(
     obs: FunctionObservation, index_set: BasisIndexSet
 ) -> np.ndarray:
@@ -314,7 +346,7 @@ def project_coefficients(
         )
     if obs.n < 1:
         raise ValueError("empty observation")
-    phi = cosine_design(obs.points, index_set.indices)
+    phi = _shared_design(obs.points, index_set.indices)
     if obs.kind == NOISY_EVALS:
         return obs.values @ phi / obs.n
     return phi.sum(axis=0) / obs.n
@@ -384,7 +416,7 @@ def select_truncation(
         raise ValueError(f"{n} observation points cannot fill {folds} folds")
 
     superset = enumerate_ball(obs.dimension, radii[-1])
-    phi = cosine_design(np.ascontiguousarray(obs.points), superset.indices)
+    phi = _shared_design(obs.points, superset.indices)
     sq_norm = (superset.indices.astype(float) ** 2).sum(axis=1)
     col_masks = [sq_norm <= t * t for t in radii]
 

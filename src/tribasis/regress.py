@@ -158,6 +158,13 @@ def _fit_psi(
     return solve(_accumulate_matrices(inputs, outputs, fmap), ridge_lambda)
 
 
+def _shift_into(lhs: np.ndarray, gram: np.ndarray, ridge_lambda: float) -> None:
+    """Overwrite ``lhs`` with ``gram`` plus ``ridge_lambda`` on the diagonal."""
+    lhs[...] = gram
+    diag = np.arange(lhs.shape[0])
+    lhs[diag, diag] += ridge_lambda
+
+
 def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
     """Solve (gram + lambda * I) psi = cross for the coefficient matrix.
 
@@ -171,15 +178,21 @@ def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
         raise ValueError("ridge penalty must be non-negative")
     lhs = summary.gram
     if ridge_lambda > 0:
-        lhs = lhs.copy()
-        lhs.flat[:: lhs.shape[0] + 1] += ridge_lambda
+        # one D x D copy, Fortran-ordered so LAPACK works on it in place
+        lhs = np.empty_like(lhs, order="F")
+        _shift_into(lhs, summary.gram, ridge_lambda)
         try:
-            factor = sla.cho_factor(lhs, lower=True, check_finite=False)
+            factor = sla.cho_factor(
+                lhs, lower=True, overwrite_a=True, check_finite=False
+            )
         except sla.LinAlgError:
             # accumulated grams are positive semidefinite only up to
             # round-off; a penalty below that noise can leave the shifted
-            # matrix numerically indefinite
-            return sla.solve(lhs, summary.cross, assume_a="sym", check_finite=False)
+            # matrix numerically indefinite. The failed factorization
+            # overwrote the copy, so rebuild it for the symmetric solve.
+            _shift_into(lhs, summary.gram, ridge_lambda)
+            return sla.solve(lhs, summary.cross, assume_a="sym",
+                             overwrite_a=True, check_finite=False)
         return sla.cho_solve(factor, summary.cross, check_finite=False)
 
     try:

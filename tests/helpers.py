@@ -47,3 +47,21 @@ def cosine_basis_reference(alpha, x):
         if j > 0:
             out = out * (np.sqrt(2.0) * np.cos(np.pi * j * x[:, axis]))
     return out
+
+
+def count_designs(monkeypatch):
+    """Empty the projection design memo and wrap the design kernel that
+    projection calls; returns the list of (points, indices) byte pairs the
+    kernel is called with."""
+    from tribasis import basis
+
+    built = []
+    kernel = basis.cosine_design
+
+    def counting(points, indices):
+        built.append((points.tobytes(), indices.tobytes()))
+        return kernel(points, indices)
+
+    monkeypatch.setattr(basis, "_design_memo", None)
+    monkeypatch.setattr(basis, "cosine_design", counting)
+    return built

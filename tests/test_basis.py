@@ -4,7 +4,7 @@ selection, and coefficient distances."""
 import numpy as np
 import pytest
 
-from helpers import cosine_basis_reference
+from helpers import cosine_basis_reference, count_designs
 from tribasis import (
     BasisIndexSet,
     CoefficientVector,
@@ -219,6 +219,93 @@ def test_projection_unbiased():
         )
         se = estimates[:, col].std(ddof=1) / np.sqrt(500)
         assert abs(estimates[:, col].mean() - truth) < 3.0 * se + 1e-12
+
+
+# --------------------------------------------------------------------------
+# the shared projection design
+
+
+@pytest.mark.parametrize("w", [8, 37, 256, 500])
+def test_window_projection_is_a_dct(w, monkeypatch):
+    # on the midpoint grid of ``tribasis window`` the projection is a
+    # DCT-II: c_0 = y_0 / (2w), c_k = sqrt(2) * y_k / (2w); checked on the
+    # call that builds the design and on a later window that reuses it
+    from scipy.fft import dct
+
+    from tribasis.cli import SeriesWindowing, window_series
+
+    built = count_designs(monkeypatch)
+    rng = np.random.default_rng(w)
+    pairs, _ = window_series(rng.standard_normal(3 * w), SeriesWindowing(window_length=w))
+    iset = enumerate_ball(1, min(w - 1, 40))
+    for obs in (pairs[0][0], pairs[0][1], pairs[1][1]):
+        y = dct(obs.values, type=2)[: len(iset)] / (2 * w)
+        y[1:] *= SQRT2
+        np.testing.assert_allclose(project(obs, iset).coefficients, y, rtol=1e-12,
+                                   atol=1e-12 * np.abs(y).max())
+        assert len(built) == 1  # every window shares the first one's design
+
+
+def test_projection_after_points_mutated_in_place():
+    from tribasis._accel import cosine_design
+
+    rng = np.random.default_rng(40)
+    iset = enumerate_ball(1, 6.0)
+    grid = (np.arange(50) + 0.5) / 50
+    obs = FunctionObservation("noisy-evaluations", grid.copy(), rng.standard_normal(50))
+    project(obs, iset)
+    obs.points[7, 0] = 0.9
+    expected = obs.values @ cosine_design(obs.points, iset.indices) / obs.n
+    assert np.array_equal(project(obs, iset).coefficients, expected)
+    fresh = FunctionObservation("noisy-evaluations", obs.points.copy(), obs.values)
+    assert np.array_equal(project(fresh, iset).coefficients, expected)
+
+
+def test_one_grid_alternating_index_sets():
+    from tribasis._accel import cosine_design
+
+    rng = np.random.default_rng(41)
+    grid = (np.arange(60) + 0.5) / 60
+    sets = (enumerate_ball(1, 4.0), enumerate_ball(1, 9.0))
+    for step in range(6):
+        iset = sets[step % 2]
+        obs = FunctionObservation("noisy-evaluations", grid, rng.standard_normal(60))
+        expected = obs.values @ cosine_design(obs.points, iset.indices) / obs.n
+        assert np.array_equal(project(obs, iset).coefficients, expected)
+
+
+def test_shared_design_is_read_only():
+    from tribasis import basis
+    from tribasis._accel import cosine_design
+
+    grid = ((np.arange(30) + 0.5) / 30).reshape(-1, 1)
+    indices = enumerate_ball(1, 5.0).indices
+    design = basis._shared_design(grid, indices)
+    assert basis._shared_design(grid.copy(), indices.copy()) is design
+    assert not design.flags.writeable
+    with pytest.raises(ValueError):
+        design[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        design *= 2.0
+    assert np.array_equal(design, cosine_design(grid, indices))
+
+
+def test_random_grid_project_all_matches_fresh_designs():
+    from tribasis._accel import cosine_design
+    from tribasis.basis import project_all
+
+    rng = np.random.default_rng(42)
+    iset = enumerate_ball(2, 3.0)
+    observations = [
+        FunctionObservation("noisy-evaluations", rng.uniform(size=(40, 2)),
+                            rng.standard_normal(40))
+        for _ in range(12)
+    ]
+    expected = np.vstack([
+        obs.values @ cosine_design(obs.points, iset.indices) / obs.n
+        for obs in observations
+    ])
+    assert np.array_equal(project_all(observations, iset), expected)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import count_designs
 from tribasis import (
     SobolevSpec,
     SyntheticConfig,
@@ -423,6 +424,23 @@ def test_cli_bench_and_window(tmp_path):
                  "--seed", "3", "--features", "40"]) == 0
     doc = json.loads(report.read_text())
     assert len(doc["records"]) == 2
+
+
+def test_cli_fit_builds_one_design_per_grid_and_index_set(tmp_path, monkeypatch):
+    # every window shares the midpoint grid, so a fit builds one design per
+    # distinct (grid, index set), not one per observation
+    built = count_designs(monkeypatch)
+    series = tmp_path / "series.txt"
+    np.savetxt(series, np.sin(2 * np.pi * np.arange(1600) / 90.0))
+    windowed = tmp_path / "win.jsonl"
+    assert main(["window", "--series", str(series), "--out", str(windowed),
+                 "--window", "40"]) == 0
+    assert main(["fit", "--data", str(windowed), "--model", str(tmp_path / "m.json"),
+                 "--sigma", "1", "--lambda", "0.01"]) == 0
+    pairs = ingest_dataset(windowed)
+    assert len(pairs) == 39
+    assert 2 <= len(built) == len(set(built)) <= 3
+    assert len({points for points, _ in built}) == 1
 
 
 def test_cli_exit_codes(tmp_path):

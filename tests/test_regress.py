@@ -174,27 +174,62 @@ def test_singular_gram_raises_named_condition():
 
 
 def test_solve_shifts_diagonal_like_identity_sum_and_keeps_gram():
-    # the diagonal shift must give exactly the psi of the old
-    # gram + lambda * eye(D) expression, on the Cholesky path and on the
-    # symmetric fallback, and leave the summary as it was for the next penalty
+    # the in-place factorization of the shifted copy must give exactly the
+    # psi of the old gram + lambda * eye(D) expression, on the Cholesky path
+    # and on the symmetric fallback (which rebuilds the overwritten copy),
+    # for C- and Fortran-ordered grams, and leave the summary as it was for
+    # the next penalty
     rng = np.random.default_rng(31)
     z, a = _random_problem(rng)
     definite = TrainingSummary(z.T @ z, z.T @ a, 50)
     q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     indefinite = TrainingSummary((q * np.linspace(-1e-3, 1.0, 20)) @ q.T, z.T @ a, 50)
-    for summary, lams in ((definite, (1e-8, 1e-3, 1.0)), (indefinite, (1e-6,))):
-        gram = summary.gram.copy()
-        for lam in lams:
-            shifted = summary.gram + lam * np.eye(summary.feature_count)
-            try:
-                factor = sla.cho_factor(shifted, lower=True, check_finite=False)
-                old = sla.cho_solve(factor, summary.cross, check_finite=False)
-            except sla.LinAlgError:
-                assert summary is indefinite
-                old = sla.solve(shifted, summary.cross, assume_a="sym",
-                                check_finite=False)
-            assert np.array_equal(solve(summary, lam), old)
-            assert np.array_equal(summary.gram, gram)
+    paths = set()
+    for base, lams in ((definite, (1e-8, 1e-3, 1.0)), (indefinite, (1e-6,))):
+        for order in ("C", "F"):
+            summary = TrainingSummary(np.array(base.gram, order=order), base.cross,
+                                      base.count)
+            gram = summary.gram.copy()
+            for lam in lams:
+                shifted = base.gram + lam * np.eye(base.feature_count)
+                try:
+                    factor = sla.cho_factor(shifted, lower=True, check_finite=False)
+                    old = sla.cho_solve(factor, base.cross, check_finite=False)
+                    paths.add("cholesky")
+                except sla.LinAlgError:
+                    assert base is indefinite
+                    old = sla.solve(shifted, base.cross, assume_a="sym",
+                                    check_finite=False)
+                    paths.add("fallback")
+                assert np.array_equal(solve(summary, lam), old)
+                assert np.array_equal(summary.gram, gram)
+    assert paths == {"cholesky", "fallback"}
+
+
+@pytest.mark.parametrize("definite", [True, False])
+def test_solve_holds_one_shifted_copy(definite):
+    # a penalized solve works on its one shifted copy of the Gram in place,
+    # on the Cholesky path and on the symmetric fallback: tracemalloc's peak
+    # stays below one and a half D x D arrays
+    import tracemalloc
+
+    rng = np.random.default_rng(32)
+    features = 400
+    z, a = _random_problem(rng, n=features + 10, feature_count=features)
+    if definite:
+        gram = z.T @ z
+    else:
+        q, _ = np.linalg.qr(z[:features])
+        gram = (q * np.linspace(-1e-3, 1.0, features)) @ q.T
+    summary = TrainingSummary(gram, z.T @ a, features + 10)
+    del z, gram
+    tracemalloc.start()
+    try:
+        solve(summary, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * summary.gram.nbytes
 
 
 def test_negative_ridge_rejected():
