@@ -135,8 +135,8 @@ class FunctionObservation:
     """The raw view of a function: noisy point evaluations on the unit
     cube, or an i.i.d. sample from a density supported there.
 
-    ``points`` is (n, d); ``values`` is (n,) and present only for the
-    noisy-evaluations kind.
+    ``points`` is (n, d); ``values`` is (n,), finite, and present only for
+    the noisy-evaluations kind.
     """
 
     kind: str
@@ -169,6 +169,9 @@ class FunctionObservation:
                 raise ValueError(
                     f"{vals.shape[0]} values for {pts.shape[0]} points"
                 )
+            if not np.all(np.isfinite(vals)):
+                bad = vals[~np.isfinite(vals)]
+                raise ValueError(f"values must be finite (found {float(bad[0])})")
             self.values = vals
         elif self.values is not None:
             raise ValueError("density-sample observations carry no values")

@@ -5,6 +5,17 @@ JSON lines (one observation pair per line); raw scalar series are plain
 one-number-per-line text. Reports are JSON documents whose non-timing
 fields reproduce exactly from the recorded seed and config.
 
+Dataset and prediction files, the bulk of a run's I/O, are parsed and
+written with orjson: each line is decoded from bytes (so invalid UTF-8 is
+reported with its line number) and NumPy arrays are written straight from
+their buffers as compact JSON. orjson rejects ``NaN``, ``Infinity`` and
+out-of-range numbers when reading, and would write a non-finite float as
+``null``; values are checked finite where they enter (``read_series``,
+``FunctionObservation``, ``CoefficientVector``). Model files and reports
+stay on the standard ``json`` module: ``modelio`` works on text streams,
+model files keep their exact bytes, and they are small enough that parsing
+them is not a cost.
+
 `fit` and `bench` share ``resolve_index_sets`` and ``fit_estimator``;
 `synth` and `bench` share ``synthetic_task``.
 
@@ -27,6 +38,7 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import orjson
 
 from . import _accel
 from .baseline import LinearSmootherModel, lse_fit, lse_fit_cv, lse_predict
@@ -52,6 +64,12 @@ DEFAULT_RADII = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)
 MAX_FEATURES = 20_000
 
 
+# one JSON-lines record per dumps call; orjson raises TypeError on arrays
+# that are not C-contiguous, so writers pass np.ascontiguousarray copies of
+# arrays that may be strided views
+_JSONL_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+
 class DatasetFormatError(ValueError):
     """Invalid dataset file; messages carry 1-based line numbers."""
 
@@ -61,9 +79,9 @@ class DatasetFormatError(ValueError):
 
 
 def _obs_to_json(obs: FunctionObservation) -> dict:
-    doc = {"kind": obs.kind, "points": obs.points.tolist()}
+    doc = {"kind": obs.kind, "points": np.ascontiguousarray(obs.points)}
     if obs.values is not None:
-        doc["values"] = obs.values.tolist()
+        doc["values"] = np.ascontiguousarray(obs.values)
     return doc
 
 
@@ -81,30 +99,31 @@ def _obs_from_json(doc, line_no: int) -> FunctionObservation:
 
 
 def write_dataset(pairs, path) -> None:
-    """Emit observation pairs as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Emit observation pairs as compact JSON lines."""
+    with open(path, "wb") as fh:
         for pin, pout in pairs:
             doc = {"input": _obs_to_json(pin)}
             if pout is not None:
                 doc["output"] = _obs_to_json(pout)
-            fh.write(json.dumps(doc) + "\n")
+            fh.write(orjson.dumps(doc, option=_JSONL_OPTIONS))
 
 
 def ingest_dataset(path, require_output: bool = True):
     """Read and validate a JSON-lines dataset; returns (input, output) pairs.
 
-    All inputs must share one dimension, likewise all outputs; offending
-    lines are named in the error.
+    Blank lines are skipped. All inputs must share one dimension, likewise
+    all outputs; offending lines, including invalid UTF-8 and non-finite
+    numbers, are named in the error.
     """
     pairs = []
     in_dim = out_dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+                doc = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 raise DatasetFormatError(
                     f"line {line_no}: malformed JSON ({exc.msg})"
                 ) from None
@@ -143,7 +162,8 @@ def ingest_dataset(path, require_output: bool = True):
 
 
 def read_series(path) -> np.ndarray:
-    """Read a raw scalar series: one number per line, blanks skipped."""
+    """Read a raw scalar series: one finite number per line, blanks
+    skipped."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -151,11 +171,16 @@ def read_series(path) -> np.ndarray:
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise DatasetFormatError(
                     f"line {line_no}: not a number: {text!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DatasetFormatError(
+                    f"line {line_no}: not a finite number: {text!r}"
+                )
+            values.append(value)
     if not values:
         raise DatasetFormatError(f"empty series: {path}")
     return np.asarray(values, dtype=float)
@@ -762,13 +787,13 @@ def _cmd_predict(args) -> int:
     pairs = ingest_dataset(args.data, require_output=False)
     grid = midpoint_grid(model.output_index_set.dimension, args.grid) if args.grid else None
     grid_design = design_matrix(model.output_index_set, grid) if args.grid else None
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "wb") as fh:
         for pin, _ in pairs:
-            cv = model_predict(model, pin)
-            doc = {"coefficients": cv.coefficients.tolist()}
+            coefficients = np.ascontiguousarray(model_predict(model, pin).coefficients)
+            doc = {"coefficients": coefficients}
             if grid_design is not None:
-                doc["values"] = (grid_design @ cv.coefficients).tolist()
-            fh.write(json.dumps(doc) + "\n")
+                doc["values"] = grid_design @ coefficients
+            fh.write(orjson.dumps(doc, option=_JSONL_OPTIONS))
     print(f"wrote {len(pairs)} predictions to {args.out}")
     return 0
 

@@ -1,5 +1,7 @@
 """Shared fixtures-by-hand for the test suite."""
 
+import json
+
 import numpy as np
 
 from tribasis import (
@@ -65,3 +67,27 @@ def count_designs(monkeypatch):
     monkeypatch.setattr(basis, "_design_memo", None)
     monkeypatch.setattr(basis, "cosine_design", counting)
     return built
+
+
+def ingest_dataset_reference(path, require_output=True):
+    """JSON-lines dataset read with the standard ``json`` module, one text
+    line at a time: the reference that ``cli.ingest_dataset`` must equal on
+    valid files. Returns (input, output) pairs, output None when absent."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            doc = json.loads(line)
+            sides = []
+            for key in ("input", "output"):
+                obs = doc.get(key)
+                if obs is None:
+                    assert key == "output" and not require_output
+                    sides.append(None)
+                    continue
+                sides.append(FunctionObservation(
+                    obs.get("kind", NOISY_EVALS), obs["points"], obs.get("values")
+                ))
+            pairs.append(tuple(sides))
+    return pairs

@@ -148,6 +148,12 @@ def test_observation_value_length_mismatch():
         FunctionObservation("noisy-evaluations", [0.1, 0.2], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observation_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match=rf"values must be finite \(found {bad}\)"):
+        FunctionObservation("noisy-evaluations", [0.1, 0.2, 0.3], [1.0, bad, 2.0])
+
+
 def test_density_sample_carries_no_values():
     with pytest.raises(ValueError):
         FunctionObservation("density-sample", [0.1], [1.0])

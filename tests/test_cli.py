@@ -4,10 +4,12 @@ command-line surface."""
 import json
 
 import numpy as np
+import orjson
 import pytest
 
-from helpers import count_designs
+from helpers import count_designs, ingest_dataset_reference
 from tribasis import (
+    FunctionObservation,
     SobolevSpec,
     SyntheticConfig,
     enumerate_ball,
@@ -48,6 +50,37 @@ def _small_dataset(n_pairs=12, n_points=40, seed=3):
     mapping = make_mapping(SPEC, SPEC, n_anchors=5, seed=seed)
     config = SyntheticConfig(SPEC, SPEC, 0.05, n_points, n_pairs, seed=seed + 1)
     return generate_dataset(config, mapping)
+
+
+def _one_point_line(in_value="1.0"):
+    """A valid one-point dataset line with the input value's literal
+    spliced in as given."""
+    return (
+        '{"input": {"kind": "noisy-evaluations", "points": [[0.1]], '
+        f'"values": [{in_value}]}}, '
+        '"output": {"kind": "noisy-evaluations", "points": [[0.2]], "values": [2.0]}}'
+    )
+
+
+def _assert_same_bits(expected, actual):
+    expected, actual = np.asarray(expected), np.asarray(actual)
+    assert expected.dtype == actual.dtype and expected.shape == actual.shape
+    assert expected.tobytes() == actual.tobytes()
+
+
+def _assert_same_pairs(expected, loaded):
+    assert len(loaded) == len(expected)
+    for pair, loaded_pair in zip(expected, loaded):
+        for obs, got in zip(pair, loaded_pair):
+            if obs is None:
+                assert got is None
+                continue
+            assert got.kind == obs.kind
+            _assert_same_bits(obs.points, got.points)
+            if obs.values is None:
+                assert got.values is None
+            else:
+                _assert_same_bits(obs.values, got.values)
 
 
 # --------------------------------------------------------------------------
@@ -120,6 +153,79 @@ def test_missing_output_when_required(tmp_path):
     assert loaded[0][1] is None
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_value_names_line(tmp_path, literal):
+    path = tmp_path / "nonfinite.jsonl"
+    path.write_text(_one_point_line() + "\n" + _one_point_line(literal) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"^line 2: "):
+        ingest_dataset(path)
+
+
+@pytest.mark.parametrize("where", ["string", "line start"])
+def test_invalid_utf8_names_line(tmp_path, where):
+    good = _one_point_line().encode()
+    if where == "string":
+        bad = good.replace(b"noisy-evaluations", b"noisy-\xffevaluations", 1)
+    else:
+        bad = b"\xff" + good
+    path = tmp_path / "latin.jsonl"
+    path.write_bytes(good + b"\n" + bad + b"\n")
+    with pytest.raises(DatasetFormatError, match=r"^line 2: malformed JSON"):
+        ingest_dataset(path)
+
+
+def test_write_dataset_round_trip_is_bitwise(tmp_path):
+    rng = np.random.default_rng(8)
+    edge = [-0.0, 5e-324, 1e-05, 1.7976931348623157e308]
+    backing = rng.standard_normal(12)
+    strided = FunctionObservation("noisy-evaluations", rng.uniform(size=6), backing[::2])
+    assert not strided.values.flags.c_contiguous
+    edge_evals = FunctionObservation("noisy-evaluations", [-0.0, 5e-324, 1e-05, 1.0],
+                                     edge)
+    negated = FunctionObservation("noisy-evaluations", [0.0, 0.5, 0.25, 1.0],
+                                  [-x for x in edge])
+    density = FunctionObservation("density-sample", rng.uniform(size=(7, 1)))
+    plane = FunctionObservation("noisy-evaluations", rng.uniform(size=(9, 2)),
+                                rng.standard_normal(9))
+    plane_density = FunctionObservation("density-sample", rng.uniform(size=(5, 2)))
+    datasets = {
+        "line.jsonl": [(strided, edge_evals), (edge_evals, density),
+                       (density, negated), (negated, strided)],
+        "plane.jsonl": [(plane, plane_density), (plane_density, plane)],
+        "inputs.jsonl": [(plane, None), (plane_density, None)],
+    }
+    for name, pairs in datasets.items():
+        path = tmp_path / name
+        write_dataset(pairs, path)
+        assert b" " not in path.read_bytes()  # compact JSON
+        require_output = name != "inputs.jsonl"
+        _assert_same_pairs(pairs, ingest_dataset(path, require_output))
+        # any JSON reader gets the same numbers
+        _assert_same_pairs(pairs, ingest_dataset_reference(path, require_output))
+
+
+def test_ingest_matches_stdlib_reference(tmp_path):
+    synth = tmp_path / "synth.jsonl"
+    assert main(["synth", "--out", str(synth), "--instances", "15", "--points", "25",
+                 "--dim-in", "2", "--seed", "6"]) == 0
+    series = tmp_path / "series.txt"
+    np.savetxt(series, np.cos(np.arange(200) / 7.0))
+    windows = tmp_path / "win.jsonl"
+    assert main(["window", "--series", str(series), "--out", str(windows),
+                 "--window", "20", "--stride", "7"]) == 0
+    # written by the standard library: spaced separators, CRLF line ends,
+    # blank lines and a line without an output
+    loose = tmp_path / "loose.jsonl"
+    docs = [json.loads(line) for line in synth.read_text().splitlines()[:3]]
+    del docs[1]["output"]
+    with open(loose, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(["", json.dumps(docs[0]), "  ", json.dumps(docs[1]),
+                               json.dumps(docs[2], indent=None), ""]))
+    for path, require_output in ((synth, True), (windows, True), (loose, False)):
+        _assert_same_pairs(ingest_dataset_reference(path, require_output),
+                           ingest_dataset(path, require_output))
+
+
 def test_read_series_errors(tmp_path):
     path = tmp_path / "series.txt"
     path.write_text("1.0\n\nnope\n")
@@ -127,6 +233,14 @@ def test_read_series_errors(tmp_path):
         read_series(path)
     path.write_text("")
     with pytest.raises(DatasetFormatError, match="empty series"):
+        read_series(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])
+def test_read_series_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "series.txt"
+    path.write_text(f"1.0\n\n{text}\n2.0\n")
+    with pytest.raises(DatasetFormatError, match=r"^line 3: not a finite number"):
         read_series(path)
 
 
@@ -441,6 +555,39 @@ def test_cli_fit_builds_one_design_per_grid_and_index_set(tmp_path, monkeypatch)
     assert len(pairs) == 39
     assert 2 <= len(built) == len(set(built)) <= 3
     assert len({points for points, _ in built}) == 1
+
+
+def test_cli_predict_file_reads_the_same_with_stdlib_json(tmp_path):
+    data = tmp_path / "data.jsonl"
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.jsonl"
+    assert main(["synth", "--out", str(data), "--instances", "12", "--points", "30",
+                 "--dim-out", "2", "--seed", "9"]) == 0
+    assert main(["fit", "--data", str(data), "--model", str(model), "--features", "40",
+                 "--sigma", "1", "--lambda", "0.01"]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(preds), "--grid", "6"]) == 0
+    fitted = load_model(model)
+    inputs = [p for p, _ in ingest_dataset(data)]
+    lines = preds.read_bytes().splitlines()
+    assert len(lines) == len(inputs)
+    for line, pin in zip(lines, inputs):
+        doc, fast = json.loads(line), orjson.loads(line)
+        for key in ("coefficients", "values"):
+            _assert_same_bits(np.asarray(fast[key]), np.asarray(doc[key]))
+        _assert_same_bits(predict_coeffs(fitted, pin).coefficients,
+                          np.asarray(doc["coefficients"]))
+        assert len(doc["values"]) == 6 ** 2
+
+
+def test_cli_window_rejects_non_finite_series(tmp_path, capsys):
+    series = tmp_path / "series.txt"
+    series.write_text("\n".join(["0.5"] * 7 + ["nan"] + ["0.25"] * 8) + "\n")
+    out = tmp_path / "win.jsonl"
+    assert main(["window", "--series", str(series), "--out", str(out),
+                 "--window", "4"]) == 1
+    assert "line 8: not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path):
