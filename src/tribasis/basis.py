@@ -12,6 +12,11 @@ Projection and truncation selection take their cosine design from a
 one-entry memo keyed on the exact sample points and multi-indices, so
 observations that share a sample grid, such as every window written by
 ``tribasis window``, share one design instead of rebuilding it per call.
+``project_all`` builds the designs of consecutive same-size observations
+in blocks, one stacked kernel call per block, and contracts each row as
+``project`` does, so its rows are bit-identical to ``project``'s.
+Truncation selection scores every candidate radius of a fold with one
+product against per-radius column masks.
 """
 
 from __future__ import annotations
@@ -154,7 +159,8 @@ class FunctionObservation:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a non-empty (n, d) array")
-        if np.any(pts < 0.0) or np.any(pts > 1.0) or not np.all(np.isfinite(pts)):
+        # min/max are NaN when any point is, which fails the range test
+        if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
             bad = pts[~((pts >= 0.0) & (pts <= 1.0))]
             detail = f" (found {bad.flat[0]!r})" if bad.size else ""
             raise ValueError(
@@ -169,7 +175,7 @@ class FunctionObservation:
                 raise ValueError(
                     f"{vals.shape[0]} values for {pts.shape[0]} points"
                 )
-            if not np.all(np.isfinite(vals)):
+            if not np.isfinite(vals).all():
                 bad = vals[~np.isfinite(vals)]
                 raise ValueError(f"values must be finite (found {float(bad[0])})")
             self.values = vals
@@ -199,7 +205,7 @@ class CoefficientVector:
                 f"{coeffs.shape[0]} coefficients for "
                 f"{len(self.index_set)} indices"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
         self.coefficients = coeffs
 
@@ -337,19 +343,27 @@ def _shared_design(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return design
 
 
-def project_coefficients(
-    obs: FunctionObservation, index_set: BasisIndexSet
-) -> np.ndarray:
-    """Raw projection-coefficient array; the lean core of ``project`` shared
-    by the per-prediction hot paths."""
+def _check_dimension(obs: FunctionObservation, index_set: BasisIndexSet):
     if obs.dimension != index_set.dimension:
         raise ValueError(
             f"observation dimension {obs.dimension} does not match index "
             f"set dimension {index_set.dimension}"
         )
+
+
+def project_coefficients(
+    obs: FunctionObservation, index_set: BasisIndexSet
+) -> np.ndarray:
+    """Raw projection-coefficient array; the lean core of ``project`` shared
+    by the per-prediction hot paths."""
+    _check_dimension(obs, index_set)
     if obs.n < 1:
         raise ValueError("empty observation")
-    phi = _shared_design(obs.points, index_set.indices)
+    return _contract(obs, _shared_design(obs.points, index_set.indices))
+
+
+def _contract(obs: FunctionObservation, phi: np.ndarray) -> np.ndarray:
+    """Coefficients of ``obs`` from its (n, m) design ``phi``."""
     if obs.kind == NOISY_EVALS:
         return obs.values @ phi / obs.n
     return phi.sum(axis=0) / obs.n
@@ -367,10 +381,45 @@ def project(
     return CoefficientVector(index_set, project_coefficients(obs, index_set))
 
 
+# largest stacked design project_all builds in one kernel call (8 MiB)
+_BLOCK_ELEMENTS = 1 << 20
+
+
 def project_all(observations, index_set: BasisIndexSet) -> np.ndarray:
-    """Projection coefficients of many observations, one row each; every
-    row passes ``project``'s checks (finite coefficients included)."""
-    return np.vstack([project(obs, index_set).coefficients for obs in observations])
+    """Projection coefficients of many observations, one row each.
+
+    Consecutive observations with the same number of points and dimension
+    form blocks of at most ``_BLOCK_ELEMENTS`` design entries, each built
+    by one stacked kernel call, or by one shared design when the block's
+    grids are bitwise equal. Each row is contracted with its own design
+    exactly as ``project`` contracts it, so it is bit-identical to
+    ``project(obs)`` and passes the same checks: a dimension mismatch
+    raises, and so do non-finite coefficients.
+    """
+    observations = list(observations)
+    indices = index_set.indices
+    m = indices.shape[0]
+    rows = np.empty((len(observations), m))
+    start = 0
+    while start < len(observations):
+        first = observations[start]
+        _check_dimension(first, index_set)
+        stop = start + 1
+        limit = min(start + _BLOCK_ELEMENTS // max(1, first.n * m), len(observations))
+        while stop < limit and observations[stop].points.shape == first.points.shape:
+            stop += 1
+        block = observations[start:stop]
+        grid = first.points.tobytes()
+        if all(obs.points.tobytes() == grid for obs in block[1:]):
+            designs = [_shared_design(first.points, indices)] * len(block)
+        else:
+            designs = cosine_design(np.stack([obs.points for obs in block]), indices)
+        for row, obs, phi in zip(range(start, stop), block, designs):
+            rows[row] = _contract(obs, phi)
+        start = stop
+    if not np.isfinite(rows).all():
+        raise ValueError("coefficients must be finite")
+    return rows
 
 
 def reconstruct(coeffs: CoefficientVector, x):
@@ -421,7 +470,8 @@ def select_truncation(
     superset = enumerate_ball(obs.dimension, radii[-1])
     phi = _shared_design(obs.points, superset.indices)
     sq_norm = (superset.indices.astype(float) ** 2).sum(axis=1)
-    col_masks = [sq_norm <= t * t for t in radii]
+    # column i keeps the superset coefficients inside radius i
+    masks = (sq_norm[:, None] <= np.square(radii)).astype(float)
 
     fold_id = np.arange(n) % folds
     sse = np.zeros(len(radii))
@@ -429,12 +479,9 @@ def select_truncation(
     for k in range(folds):
         test = fold_id == k
         train = ~test
-        n_train = int(train.sum())
-        phi_train, phi_test = phi[train], phi[test]
-        for i, cols in enumerate(col_masks):
-            c = y[train] @ phi_train[:, cols] / n_train
-            pred = phi_test[:, cols] @ c
-            sse[i] += ((pred - y[test]) ** 2).sum()
+        coeffs = y[train] @ phi[train] / int(train.sum())
+        resid = phi[test] @ (coeffs[:, None] * masks) - y[test][:, None]
+        sse += (resid * resid).sum(axis=0)
     # argmin returns the first (smallest) radius on ties
     return radii[int(np.argmin(sse))]
 

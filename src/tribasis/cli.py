@@ -163,7 +163,46 @@ def ingest_dataset(path, require_output: bool = True):
 
 def read_series(path) -> np.ndarray:
     """Read a raw scalar series: one finite number per line, blanks
-    skipped."""
+    skipped.
+
+    The whole file is split and parsed in one pass; any file that pass
+    does not take as one finite number per non-blank line is read again
+    line by line, which names the offending line.
+    """
+    tokens = _one_token_per_line(path)
+    if tokens:
+        try:
+            values = np.fromiter(map(float, tokens), float, len(tokens))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return _read_series_lines(path)
+
+
+# the whitespace bytes.split() splits on, other than the newline
+_LINE_SPACE = b" \t\r\x0b\x0c"
+
+
+def _one_token_per_line(path):
+    """The whitespace-separated tokens of a file, or None when a line holds
+    more than one. Kept apart from the parse so that the file's bytes are
+    freed before the numbers are built."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    tokens = data.split()
+    if any(space in data for space in _LINE_SPACE):
+        # a line is non-blank when something is left once its spaces go
+        lines = data.translate(None, _LINE_SPACE).split(b"\n")
+        if len(tokens) != len(lines) - lines.count(b""):
+            return None
+    return tokens
+
+
+def _read_series_lines(path) -> np.ndarray:
+    """``read_series`` one line at a time, with the line of the first
+    error in its message."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

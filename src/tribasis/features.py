@@ -6,7 +6,7 @@ products of feature vectors approximate exp(-||x - y||^2 / (2 * sigma^2)).
 The bandwidth convention is easy to get silently wrong, so it is pinned
 here once and covered by tests: frequency std = 1 / bandwidth. Features
 are computed in NumPy: one BLAS product and one vectorized cosine per
-batch.
+batch, in the product's own buffer.
 """
 
 from dataclasses import dataclass
@@ -96,7 +96,11 @@ def compute_features_batch(fmap: RksFeatureMap, xs) -> np.ndarray:
         raise ValueError(
             f"batch shape {mat.shape} does not match input_dim {fmap.input_dim}"
         )
-    return fmap.scale * np.cos(mat @ fmap.frequencies.T + fmap.phases)
+    out = mat @ fmap.frequencies.T
+    out += fmap.phases
+    np.cos(out, out=out)
+    out *= fmap.scale
+    return out
 
 
 def rbf_kernel(distance, bandwidth: float):

@@ -51,6 +51,29 @@ def cosine_basis_reference(alpha, x):
     return out
 
 
+def select_truncation_reference(obs, candidate_radii, folds):
+    """``basis.select_truncation`` scored one radius at a time: per fold and
+    radius, fit the coefficients inside the radius on the training folds
+    and sum the squared held-out errors; the first smallest sum wins."""
+    from tribasis._accel import cosine_design
+    from tribasis.basis import enumerate_ball
+
+    radii = [float(t) for t in candidate_radii]
+    superset = enumerate_ball(obs.dimension, radii[-1])
+    phi = cosine_design(obs.points, superset.indices)
+    sq_norm = (superset.indices.astype(float) ** 2).sum(axis=1)
+    fold_id = np.arange(obs.n) % folds
+    sse = np.zeros(len(radii))
+    y = obs.values
+    for k in range(folds):
+        test, train = fold_id == k, fold_id != k
+        for i, t in enumerate(radii):
+            cols = sq_norm <= t * t
+            c = y[train] @ phi[train][:, cols] / train.sum()
+            sse[i] += ((phi[test][:, cols] @ c - y[test]) ** 2).sum()
+    return radii[int(np.argmin(sse))]
+
+
 def count_designs(monkeypatch):
     """Empty the projection design memo and wrap the design kernel that
     projection calls; returns the list of (points, indices) byte pairs the

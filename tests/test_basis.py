@@ -4,7 +4,7 @@ selection, and coefficient distances."""
 import numpy as np
 import pytest
 
-from helpers import cosine_basis_reference, count_designs
+from helpers import cosine_basis_reference, count_designs, select_truncation_reference
 from tribasis import (
     BasisIndexSet,
     CoefficientVector,
@@ -314,6 +314,63 @@ def test_random_grid_project_all_matches_fresh_designs():
     assert np.array_equal(project_all(observations, iset), expected)
 
 
+def _mixed_observations(rng, dim):
+    """Runs of observations that differ in size, kind and grid: random
+    grids, one grid shared by a run, and singletons between runs."""
+    grid = rng.uniform(size=(30, dim))
+    observations = []
+    for n, kind, count, shared in [
+        (30, "noisy-evaluations", 7, False), (30, "noisy-evaluations", 6, True),
+        (30, "density-sample", 5, False), (30, "density-sample", 4, True),
+        (11, "noisy-evaluations", 1, False), (30, "noisy-evaluations", 9, False),
+        (1, "noisy-evaluations", 3, False), (30, "noisy-evaluations", 5, True),
+    ]:
+        for _ in range(count):
+            pts = grid.copy() if shared else rng.uniform(size=(n, dim))
+            vals = rng.standard_normal(n) if kind == "noisy-evaluations" else None
+            observations.append(FunctionObservation(kind, pts, vals))
+    return observations
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 4.0), (1, 19.0), (2, 3.0), (3, 2.0)])
+@pytest.mark.parametrize("budget", [None, 1, 200, 1000])
+def test_project_all_rows_equal_project(dim, radius, budget, monkeypatch):
+    # bit for bit, whether a block holds one observation, splits a run at
+    # the element budget, or takes a whole run
+    from tribasis import basis
+
+    if budget is not None:
+        monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", budget)
+    iset = enumerate_ball(dim, radius)
+    observations = _mixed_observations(np.random.default_rng(dim), dim)
+    rows = basis.project_all(observations, iset)
+    assert rows.shape == (len(observations), len(iset))
+    for row, obs in zip(rows, observations):
+        assert np.array_equal(row, project(obs, iset).coefficients)
+
+
+def test_project_all_dimension_mismatch_mid_list():
+    from tribasis.basis import project_all
+
+    rng = np.random.default_rng(43)
+    observations = [FunctionObservation("noisy-evaluations", rng.uniform(size=(20, 1)),
+                                        rng.standard_normal(20)) for _ in range(5)]
+    observations.insert(3, FunctionObservation("noisy-evaluations", rng.uniform(size=(20, 2)),
+                                               rng.standard_normal(20)))
+    with pytest.raises(ValueError, match="observation dimension 2 does not match"):
+        project_all(observations, enumerate_ball(1, 3.0))
+
+
+def test_project_all_rejects_non_finite_coefficients():
+    from tribasis.basis import project_all
+
+    grid = np.linspace(0.0, 1.0, 4)
+    ok = FunctionObservation("noisy-evaluations", grid, np.ones(4))
+    huge = FunctionObservation("noisy-evaluations", grid, np.full(4, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        project_all([ok, huge, ok], enumerate_ball(1, 2.0))
+
+
 # --------------------------------------------------------------------------
 # reconstruction
 
@@ -460,6 +517,31 @@ def test_select_truncation_grows_with_sample_size():
         medians.append(np.median(picks))
     assert all(a <= b for a, b in zip(medians, medians[1:]))
     assert medians[0] < medians[-1]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_select_truncation_matches_per_radius_loop(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(40, 400))
+    obs = _smooth_observation(n, rng)
+    cands = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0]
+    assert select_truncation(obs, cands, 5) == select_truncation_reference(obs, cands, 5)
+    obs2 = FunctionObservation("noisy-evaluations", rng.uniform(size=(n, 2)),
+                               rng.standard_normal(n))
+    cands2 = [0.0, 1.0, 1.5, 2.5, 4.0]
+    assert (select_truncation(obs2, cands2, 4)
+            == select_truncation_reference(obs2, cands2, 4))
+
+
+def test_select_truncation_tie_goes_to_smallest_radius():
+    # radii 0, 0.5 and 0.9 keep only the constant, so they score exactly
+    # alike; 1.0 adds a mode that a constant function does not need
+    rng = np.random.default_rng(9)
+    obs = FunctionObservation("noisy-evaluations", rng.uniform(size=120), np.full(120, 2.5))
+    cands = [0.0, 0.5, 0.9, 1.0, 2.0]
+    assert select_truncation(obs, cands, 5) == 0.0
+    assert select_truncation_reference(obs, cands, 5) == 0.0
+    assert select_truncation(obs, cands[1:], 5) == 0.5
 
 
 def test_select_truncation_validation():

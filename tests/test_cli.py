@@ -236,6 +236,21 @@ def test_read_series_errors(tmp_path):
         read_series(path)
 
 
+@pytest.mark.parametrize("text", ["1.0\n2.0 3.0\n", "1.0\n2.0 3.0\n \t\n", "1.0\n2.0\t3.0"])
+def test_read_series_rejects_two_numbers_on_a_line(tmp_path, text):
+    # as many numbers as non-blank lines, but one line holds two
+    path = tmp_path / "series.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(DatasetFormatError, match="^line 2: not a number"):
+        read_series(path)
+
+
+def test_read_series_whitespace_and_line_endings(tmp_path):
+    path = tmp_path / "series.txt"
+    path.write_bytes(b" 1.5 \r\n\t\n-2\r3e-1\n\x0c\n4")
+    assert read_series(path).tolist() == [1.5, -2.0, 0.3, 4.0]
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])
 def test_read_series_rejects_non_finite(tmp_path, text):
     path = tmp_path / "series.txt"

@@ -91,6 +91,8 @@ def test_batch_matches_single():
     fmap = sample_feature_map(5, 128, 2.0, seed=10)
     xs = np.random.default_rng(11).standard_normal((13, 5))
     batch = compute_features_batch(fmap, xs)
+    # the in-place batch does the plain expression's operations in order
+    assert np.array_equal(batch, fmap.scale * np.cos(xs @ fmap.frequencies.T + fmap.phases))
     for i in range(13):
         np.testing.assert_allclose(
             batch[i], compute_features(fmap, xs[i]), rtol=1e-12, atol=1e-14
