@@ -20,7 +20,6 @@ from .basis import (
     coeff_l2_distance,
     enumerate_ball,
     enumerate_kappa_ball,
-    eval_basis,
     project,
     reconstruct,
     select_truncation,
@@ -88,7 +87,6 @@ __all__ = [
     "compute_features_batch",
     "enumerate_ball",
     "enumerate_kappa_ball",
-    "eval_basis",
     "fit",
     "fit_cv",
     "generate_dataset",

@@ -30,12 +30,6 @@ from ._accel import cosine_design
 NOISY_EVALS = "noisy-evaluations"
 DENSITY_SAMPLE = "density-sample"
 
-# sup-norm of any tensor-product basis function in dimension d is 2^(d/2);
-# handy for variance sanity checks in tests
-def sup_norm_bound(dimension: int) -> float:
-    return float(2.0 ** (dimension / 2.0))
-
-
 def _as_index_array(indices, dimension=None) -> np.ndarray:
     arr = np.asarray(indices)
     if arr.ndim == 1:
@@ -254,18 +248,6 @@ def design_matrix(index_set: BasisIndexSet, points: np.ndarray) -> np.ndarray:
     pts, _ = _point_matrix(points, index_set.dimension)
     _check_unit_cube(pts)
     return cosine_design(np.ascontiguousarray(pts), index_set.indices)
-
-
-def eval_basis(alpha, x) -> float:
-    """Evaluate one tensor-product cosine basis function at one point."""
-    alpha_arr = np.atleast_1d(np.asarray(alpha))
-    alpha_arr = _as_index_array(alpha_arr.reshape(1, -1))
-    d = alpha_arr.shape[1]
-    pts, _ = _point_matrix(x, d)
-    if pts.shape[0] != 1:
-        raise ValueError("eval_basis expects a single point")
-    _check_unit_cube(pts)
-    return float(cosine_design(np.ascontiguousarray(pts), alpha_arr)[0, 0])
 
 
 def enumerate_ball(dimension: int, radius: float) -> BasisIndexSet:

@@ -54,13 +54,12 @@ from .basis import (
 )
 from .features import sample_feature_map
 from .modelio import load_model, save_model
-from .regress import LAMBDA_GRID, SIGMA_GRID, TripleBasisModel
+from .regress import DEFAULT_RADII, LAMBDA_GRID, SIGMA_GRID, TripleBasisModel
 from .regress import average_truncation_radius, fit, fit_cv, predict_coeffs
 from .synth import SyntheticConfig, generate_dataset, make_mapping
 
 REPORT_FORMAT_VERSION = 1
 KNOWN_METHODS = ("triple-basis", "linear-smoother", "mean")
-DEFAULT_RADII = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)
 MAX_FEATURES = 20_000
 
 
@@ -276,52 +275,41 @@ def _window_obs(values: np.ndarray, start: int, w: int) -> FunctionObservation:
 def window_series(values, windowing: SeriesWindowing, co_values=None):
     """Cut a scalar series into observation pairs.
 
-    Forward mode pairs each window with the window that follows it;
-    co-occurring mode pairs aligned windows of two series. Values are
-    rescaled to [0, 1] by the global min/max; the transform comes back for
-    inverse mapping. Returns (pairs, transform).
+    Each input window is paired with the window of the co-series that
+    starts ``offset`` samples later. Forward mode takes the series itself
+    as co-series with offset w, so each window is paired with the one that
+    follows it; co-occurring mode pairs aligned windows (offset 0) of two
+    series. Values are rescaled to [0, 1] by the global min/max over both
+    series; the transform comes back for inverse mapping. Returns (pairs,
+    transform).
     """
     series = np.asarray(values, dtype=float).reshape(-1)
     w, stride = windowing.window_length, windowing.stride
     if windowing.mode == FORWARD:
         if co_values is not None:
             raise ValueError("forward windowing uses a single series")
-        if series.shape[0] < 2 * w:
-            raise ValueError(
-                f"series of length {series.shape[0]} too short for forward "
-                f"windows of length {w} (need at least {2 * w})"
-            )
-        lo, hi = float(series.min()), float(series.max())
-        transform = SeriesTransform(lo, hi - lo if hi > lo else 1.0)
-        scaled = transform.apply(series)
-        pairs = []
-        start = 0
-        while start + 2 * w <= scaled.shape[0]:
-            pairs.append(
-                (_window_obs(scaled, start, w), _window_obs(scaled, start + w, w))
-            )
-            start += stride
-        return pairs, transform
-
-    if co_values is None:
-        raise ValueError("co-occurring windowing needs a second series")
-    co = np.asarray(co_values, dtype=float).reshape(-1)
-    if co.shape[0] != series.shape[0]:
-        raise ValueError("co-occurring series must have equal length")
-    if series.shape[0] < w:
+        co, offset = series, w
+    else:
+        if co_values is None:
+            raise ValueError("co-occurring windowing needs a second series")
+        co, offset = np.asarray(co_values, dtype=float).reshape(-1), 0
+        if co.shape[0] != series.shape[0]:
+            raise ValueError("co-occurring series must have equal length")
+    need = offset + w
+    if series.shape[0] < need:
         raise ValueError(
-            f"series of length {series.shape[0]} too short for windows of "
-            f"length {w}"
+            f"series of length {series.shape[0]} too short for "
+            f"{windowing.mode} windows of length {w} (need at least {need})"
         )
-    both = np.concatenate([series, co])
-    lo, hi = float(both.min()), float(both.max())
+    lo = float(min(series.min(), co.min()))
+    hi = float(max(series.max(), co.max()))
     transform = SeriesTransform(lo, hi - lo if hi > lo else 1.0)
-    scaled_a, scaled_b = transform.apply(series), transform.apply(co)
-    pairs = []
-    start = 0
-    while start + w <= scaled_a.shape[0]:
-        pairs.append((_window_obs(scaled_a, start, w), _window_obs(scaled_b, start, w)))
-        start += stride
+    scaled = transform.apply(series)
+    co_scaled = scaled if co is series else transform.apply(co)
+    pairs = [
+        (_window_obs(scaled, start, w), _window_obs(co_scaled, start + offset, w))
+        for start in range(0, series.shape[0] - need + 1, stride)
+    ]
     return pairs, transform
 
 
@@ -340,26 +328,6 @@ def midpoint_grid(dimension: int, points_per_axis: int = 1024) -> np.ndarray:
     axis = (np.arange(points_per_axis) + 0.5) / points_per_axis
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def quadrature_mse(
-    pred_matrix: np.ndarray,
-    pred_set: BasisIndexSet,
-    truth_matrix: np.ndarray,
-    truth_set: BasisIndexSet,
-    points_per_axis: int = 1024,
-) -> float:
-    """Mean (over instances) integrated squared error between reconstructed
-    predictions and reconstructed truths, by the midpoint rule.
-
-    Exact for products of basis functions of degree below
-    2 * points_per_axis; the independent reference for ``coefficient_mse``,
-    at the cost of points_per_axis^d nodes per instance."""
-    grid = midpoint_grid(pred_set.dimension, points_per_axis)
-    pred_vals = design_matrix(pred_set, grid) @ pred_matrix.T
-    truth_vals = design_matrix(truth_set, grid) @ truth_matrix.T
-    diff = pred_vals - truth_vals
-    return float((diff * diff).mean(axis=0).mean())
 
 
 def coefficient_mse(
@@ -703,14 +671,8 @@ def _config_doc(config: BenchmarkConfig) -> dict:
 # CLI plumbing
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.prog + ": error: " + message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tribasis", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="tribasis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a model and save it")
@@ -937,10 +899,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
-        # raised by the parser on bad flags: user error
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
+        # raised by the parser: 0 after --help, 2 on bad flags (user error)
         return 0 if not exc.code else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

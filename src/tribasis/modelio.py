@@ -59,10 +59,24 @@ def _vector(doc, key, length) -> np.ndarray:
     return np.asarray(raw, dtype=float)
 
 
-def _require(doc, key):
+def _require(doc, key, where=""):
     if key not in doc:
-        raise ModelFormatError(f"model file is missing field {key!r}")
+        raise ModelFormatError(f"model file is missing field {where + key!r}")
     return doc[key]
+
+
+def _scalar(doc, key, kind, where=""):
+    """``doc[key]`` as ``kind``: int fields take JSON integers, float fields
+    any JSON number. A missing field, null or another JSON type raises
+    ModelFormatError."""
+    value = _require(doc, key, where)
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        expected = "an integer" if kind is int else "a number"
+        found = "null" if value is None else type(value).__name__
+        raise ModelFormatError(
+            f"field {where + key!r} must be {expected}, found {found}")
+    return kind(value)
 
 
 def _index_set(doc, key, dimension, rule_key) -> BasisIndexSet:
@@ -86,25 +100,65 @@ def _tolist(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+# the dimension that sizes each model type's arrays: features D, or the
+# stored training pairs N
+_SIZE_KEY = {TYPE_TRIPLE_BASIS: "D", TYPE_LINEAR_SMOOTHER: "N"}
+
+
+def _header(model, kind, basis_tag, size) -> dict:
+    """The fields both model types share, in file order."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "type": kind,
+        "basis_tag": basis_tag,
+        "dimensions": {
+            "l": model.input_index_set.dimension,
+            "k": model.output_index_set.dimension,
+            "s": len(model.input_index_set),
+            "r": len(model.output_index_set),
+            _SIZE_KEY[kind]: size,
+        },
+        "input_indices": model.input_index_set.indices.tolist(),
+        "input_rule": model.input_index_set.rule,
+        "output_indices": model.output_index_set.indices.tolist(),
+        "output_rule": model.output_index_set.rule,
+    }
+
+
+def _read_header(doc):
+    """Check the shared fields; returns (type, input index set, output
+    index set, size), size being D or N by type."""
+    version = _require(doc, "format_version")
+    if version != FORMAT_VERSION:
+        raise ModelVersionError(
+            f"model file has format version {version!r}; this build reads "
+            f"version {FORMAT_VERSION}"
+        )
+    kind = _require(doc, "type")
+    if kind not in (TYPE_TRIPLE_BASIS, TYPE_LINEAR_SMOOTHER):
+        raise ModelFormatError(f"unknown model type {kind!r}")
+    dims = _require(doc, "dimensions")
+    if not isinstance(dims, dict):
+        raise ModelFormatError("field 'dimensions' must be an object")
+    l, k, s, r, size = (
+        _scalar(dims, key, int, "dimensions.")
+        for key in ("l", "k", "s", "r", _SIZE_KEY[kind])
+    )
+    input_set = _index_set(doc, "input_indices", l, "input_rule")
+    output_set = _index_set(doc, "output_indices", k, "output_rule")
+    if len(input_set) != s or len(output_set) != r:
+        raise ModelDimensionError(
+            "declared index-set sizes do not match the stored index lists"
+        )
+    return kind, input_set, output_set, size
+
+
 def save_model(model, destination) -> None:
     """Write a fitted model (either type) to a JSON model file."""
     if isinstance(model, TripleBasisModel):
         fmap = model.feature_map
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "type": TYPE_TRIPLE_BASIS,
-            "basis_tag": model.basis_tag,
-            "dimensions": {
-                "l": model.input_index_set.dimension,
-                "k": model.output_index_set.dimension,
-                "s": len(model.input_index_set),
-                "r": len(model.output_index_set),
-                "D": fmap.feature_count,
-            },
-            "input_indices": model.input_index_set.indices.tolist(),
-            "input_rule": model.input_index_set.rule,
-            "output_indices": model.output_index_set.indices.tolist(),
-            "output_rule": model.output_index_set.rule,
+        doc = _header(model, TYPE_TRIPLE_BASIS, model.basis_tag, fmap.feature_count)
+        doc.update({
             "sigma": fmap.bandwidth,
             "lambda": model.ridge_lambda,
             "seed": fmap.seed,
@@ -112,28 +166,15 @@ def save_model(model, destination) -> None:
             "phases": _tolist(fmap.phases),
             "psi": _tolist(model.psi),
             "training_count": model.training_count,
-        }
+        })
     elif isinstance(model, LinearSmootherModel):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "type": TYPE_LINEAR_SMOOTHER,
-            "basis_tag": "cosine",
-            "dimensions": {
-                "l": model.input_index_set.dimension,
-                "k": model.output_index_set.dimension,
-                "s": len(model.input_index_set),
-                "r": len(model.output_index_set),
-                "N": model.training_count,
-            },
-            "input_indices": model.input_index_set.indices.tolist(),
-            "input_rule": model.input_index_set.rule,
-            "output_indices": model.output_index_set.indices.tolist(),
-            "output_rule": model.output_index_set.rule,
+        doc = _header(model, TYPE_LINEAR_SMOOTHER, "cosine", model.training_count)
+        doc.update({
             "bandwidth": model.bandwidth,
             "kernel_tag": model.kernel_tag,
             "train_inputs": _tolist(model.train_inputs),
             "train_outputs": _tolist(model.train_outputs),
-        }
+        })
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     if hasattr(destination, "write"):
@@ -161,64 +202,36 @@ def load_model(source):
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
 
-    version = _require(doc, "format_version")
-    if version != FORMAT_VERSION:
-        raise ModelVersionError(
-            f"model file has format version {version!r}; this build reads "
-            f"version {FORMAT_VERSION}"
-        )
-    kind = _require(doc, "type")
-    dims = _require(doc, "dimensions")
-    if not isinstance(dims, dict):
-        raise ModelFormatError("field 'dimensions' must be an object")
-
-    if kind == TYPE_TRIPLE_BASIS:
-        l, k = int(dims["l"]), int(dims["k"])
-        s, r, D = int(dims["s"]), int(dims["r"]), int(dims["D"])
-        input_set = _index_set(doc, "input_indices", l, "input_rule")
-        output_set = _index_set(doc, "output_indices", k, "output_rule")
-        if len(input_set) != s or len(output_set) != r:
-            raise ModelDimensionError(
-                "declared index-set sizes do not match the stored index lists"
+    kind, input_set, output_set, size = _read_header(doc)
+    s, r = len(input_set), len(output_set)
+    try:
+        if kind == TYPE_TRIPLE_BASIS:
+            fmap = RksFeatureMap(
+                input_dim=s,
+                feature_count=size,
+                bandwidth=_scalar(doc, "sigma", float),
+                frequencies=_matrix(doc, "frequencies", size, s),
+                phases=_vector(doc, "phases", size),
+                seed=_scalar(doc, "seed", int),
             )
-        fmap = RksFeatureMap(
-            input_dim=s,
-            feature_count=D,
-            bandwidth=float(_require(doc, "sigma")),
-            frequencies=_matrix(doc, "frequencies", D, s),
-            phases=_vector(doc, "phases", D),
-            seed=int(_require(doc, "seed")),
-        )
-        try:
             return TripleBasisModel(
                 input_index_set=input_set,
                 output_index_set=output_set,
                 feature_map=fmap,
-                psi=_matrix(doc, "psi", D, r),
-                ridge_lambda=float(_require(doc, "lambda")),
+                psi=_matrix(doc, "psi", size, r),
+                ridge_lambda=_scalar(doc, "lambda", float),
                 basis_tag=str(_require(doc, "basis_tag")),
-                training_count=int(doc.get("training_count", 0)),
+                training_count=_scalar(doc, "training_count", int),
             )
-        except ValueError as exc:
-            raise ModelDimensionError(str(exc)) from None
-    if kind == TYPE_LINEAR_SMOOTHER:
-        l, k = int(dims["l"]), int(dims["k"])
-        s, r, n = int(dims["s"]), int(dims["r"]), int(dims["N"])
-        input_set = _index_set(doc, "input_indices", l, "input_rule")
-        output_set = _index_set(doc, "output_indices", k, "output_rule")
-        if len(input_set) != s or len(output_set) != r:
-            raise ModelDimensionError(
-                "declared index-set sizes do not match the stored index lists"
-            )
-        try:
-            return LinearSmootherModel(
-                input_index_set=input_set,
-                output_index_set=output_set,
-                train_inputs=_matrix(doc, "train_inputs", n, s),
-                train_outputs=_matrix(doc, "train_outputs", n, r),
-                bandwidth=float(_require(doc, "bandwidth")),
-                kernel_tag=str(doc.get("kernel_tag", "epanechnikov")),
-            )
-        except ValueError as exc:
-            raise ModelDimensionError(str(exc)) from None
-    raise ModelFormatError(f"unknown model type {kind!r}")
+        return LinearSmootherModel(
+            input_index_set=input_set,
+            output_index_set=output_set,
+            train_inputs=_matrix(doc, "train_inputs", size, s),
+            train_outputs=_matrix(doc, "train_outputs", size, r),
+            bandwidth=_scalar(doc, "bandwidth", float),
+            kernel_tag=str(doc.get("kernel_tag", "epanechnikov")),
+        )
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        raise ModelDimensionError(str(exc)) from None

@@ -41,6 +41,8 @@ _BATCH_ROWS = 4096
 # default hyperparameter grids of the triple-basis search
 SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 LAMBDA_GRID = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+# candidate truncation radii averaged by ``average_truncation_radius``
+DEFAULT_RADII = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)
 
 
 class IllConditionedError(RuntimeError):
@@ -78,14 +80,6 @@ class TrainingSummary:
         self.gram = gram
         self.cross = cross
 
-    @classmethod
-    def zeros(cls, feature_count: int, output_dim: int) -> "TrainingSummary":
-        return cls(
-            np.zeros((feature_count, feature_count)),
-            np.zeros((feature_count, output_dim)),
-            0,
-        )
-
     @property
     def feature_count(self) -> int:
         return self.gram.shape[0]
@@ -103,37 +97,16 @@ class TrainingSummary:
         )
 
 
-def accumulate(
-    summary: TrainingSummary,
-    input_coeffs: CoefficientVector,
-    output_coeffs: CoefficientVector,
-    fmap: RksFeatureMap,
-) -> TrainingSummary:
-    """Fold one training pair into a summary (inputs are not mutated)."""
-    if fmap.input_dim != len(input_coeffs):
-        raise ValueError(
-            f"feature map expects {fmap.input_dim} input coefficients, "
-            f"got {len(input_coeffs)}"
-        )
-    if fmap.feature_count != summary.feature_count:
-        raise ValueError("feature map and summary disagree on feature count")
-    if len(output_coeffs) != summary.output_dim:
-        raise ValueError(
-            f"summary expects {summary.output_dim} output coefficients, "
-            f"got {len(output_coeffs)}"
-        )
-    z = compute_features(fmap, input_coeffs.coefficients)
-    return TrainingSummary(
-        summary.gram + np.outer(z, z),
-        summary.cross + np.outer(z, output_coeffs.coefficients),
-        summary.count + 1,
-    )
-
-
-def _accumulate_matrices(
-    inputs: np.ndarray, outputs: np.ndarray, fmap: RksFeatureMap
-) -> TrainingSummary:
-    """Batched equivalent of repeated accumulate over coefficient rows."""
+def accumulate(inputs, outputs, fmap: RksFeatureMap) -> TrainingSummary:
+    """Normal-equation blocks of coefficient rows: ``inputs`` (N, s) and
+    ``outputs`` (N, r) hold one training pair per row. Features are built
+    ``_BATCH_ROWS`` rows at a time (``compute_features_batch`` checks the
+    input width), so memory beyond the inputs stays O(D^2 + D*r). Shards
+    accumulated apart combine with ``TrainingSummary.merge``."""
+    inputs = np.asarray(inputs, dtype=float)
+    outputs = np.asarray(outputs, dtype=float)
+    if outputs.ndim != 2 or outputs.shape[0] != len(inputs):
+        raise ValueError(f"outputs {outputs.shape} need one row per input row")
     n = inputs.shape[0]
     gram = np.zeros((fmap.feature_count, fmap.feature_count))
     cross = np.zeros((fmap.feature_count, outputs.shape[1]))
@@ -143,19 +116,6 @@ def _accumulate_matrices(
         gram += z.T @ z
         cross += z.T @ outputs[start:stop]
     return TrainingSummary(gram, cross, n)
-
-
-def _fit_psi(
-    inputs: np.ndarray, outputs: np.ndarray, fmap: RksFeatureMap, ridge_lambda: float
-) -> np.ndarray:
-    """psi for coefficient rows: with lambda > 0 and fewer rows than
-    features, Z^T alpha from the N x N dual system (Z Z^T + lambda I) alpha
-    = Y; otherwise the primal D x D normal equations."""
-    if ridge_lambda > 0 and inputs.shape[0] < fmap.feature_count:
-        z = compute_features_batch(fmap, inputs)
-        kernel = TrainingSummary(z @ z.T, outputs, inputs.shape[0])
-        return z.T @ solve(kernel, ridge_lambda)
-    return solve(_accumulate_matrices(inputs, outputs, fmap), ridge_lambda)
 
 
 def _shift_into(lhs: np.ndarray, gram: np.ndarray, ridge_lambda: float) -> None:
@@ -244,6 +204,28 @@ class TripleBasisModel:
         self.psi = psi
 
 
+def _fit_model(inputs: np.ndarray, outputs: np.ndarray, input_index_set,
+               output_index_set, fmap: RksFeatureMap, ridge_lambda: float):
+    """Model fitted on coefficient rows. With lambda > 0 and fewer rows than
+    features, psi is Z^T alpha from the N x N dual system
+    (Z Z^T + lambda I) alpha = Y; otherwise it solves the primal D x D
+    normal equations."""
+    if ridge_lambda > 0 and inputs.shape[0] < fmap.feature_count:
+        z = compute_features_batch(fmap, inputs)
+        kernel = TrainingSummary(z @ z.T, outputs, inputs.shape[0])
+        psi = z.T @ solve(kernel, ridge_lambda)
+    else:
+        psi = solve(accumulate(inputs, outputs, fmap), ridge_lambda)
+    return TripleBasisModel(
+        input_index_set=input_index_set,
+        output_index_set=output_index_set,
+        feature_map=fmap,
+        psi=psi,
+        ridge_lambda=float(ridge_lambda),
+        training_count=inputs.shape[0],
+    )
+
+
 def fit(
     dataset,
     input_index_set: BasisIndexSet,
@@ -264,15 +246,8 @@ def fit(
         raise ValueError("dataset must be non-empty")
     inputs = project_all([p for p, _ in dataset], input_index_set)
     outputs = project_all([q for _, q in dataset], output_index_set)
-    psi = _fit_psi(inputs, outputs, fmap, ridge_lambda)
-    return TripleBasisModel(
-        input_index_set=input_index_set,
-        output_index_set=output_index_set,
-        feature_map=fmap,
-        psi=psi,
-        ridge_lambda=float(ridge_lambda),
-        training_count=len(dataset),
-    )
+    return _fit_model(inputs, outputs, input_index_set, output_index_set, fmap,
+                      ridge_lambda)
 
 
 def predict_coeffs(
@@ -295,7 +270,7 @@ def predict_function(model: TripleBasisModel, input_obs: FunctionObservation, x)
 
 def average_truncation_radius(
     observations,
-    candidate_radii,
+    candidate_radii=DEFAULT_RADII,
     folds: int = 5,
 ) -> float:
     """Average of per-observation cross-validated truncation radii.
@@ -384,17 +359,9 @@ def fit_cv(
 
     mse, bw, lam = best
     fmap = sample_feature_map(inputs.shape[1], feature_count, bw, seed)
-    psi = _fit_psi(inputs, outputs, fmap, lam)
-    model = TripleBasisModel(
-        input_index_set=input_index_set,
-        output_index_set=output_index_set,
-        feature_map=fmap,
-        psi=psi,
-        ridge_lambda=float(lam),
-        training_count=n,
-    )
     return CvResult(
-        model=model,
+        model=_fit_model(inputs, outputs, input_index_set, output_index_set,
+                         fmap, lam),
         bandwidth=float(bw),
         ridge_lambda=float(lam),
         validation_mse=mse,

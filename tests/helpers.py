@@ -51,6 +51,23 @@ def cosine_basis_reference(alpha, x):
     return out
 
 
+def quadrature_mse(pred_matrix, pred_set, truth_matrix, truth_set,
+                   points_per_axis=1024):
+    """Mean (over instances) integrated squared error between reconstructed
+    predictions and reconstructed truths, by the midpoint rule: the
+    independent oracle for ``cli.coefficient_mse``. Exact for products of
+    basis functions of degree below 2 * points_per_axis, at the cost of
+    points_per_axis^d nodes per instance."""
+    from tribasis.basis import design_matrix
+    from tribasis.cli import midpoint_grid
+
+    grid = midpoint_grid(pred_set.dimension, points_per_axis)
+    pred_vals = design_matrix(pred_set, grid) @ pred_matrix.T
+    truth_vals = design_matrix(truth_set, grid) @ truth_matrix.T
+    diff = pred_vals - truth_vals
+    return float((diff * diff).mean(axis=0).mean())
+
+
 def select_truncation_reference(obs, candidate_radii, folds):
     """``basis.select_truncation`` scored one radius at a time: per fold and
     radius, fit the coefficients inside the radius on the training folds

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import cosine_basis_reference
+from helpers import cosine_basis_reference, quadrature_mse
 from tribasis import (
     BasisIndexSet,
     CoefficientVector,
@@ -36,7 +36,6 @@ from tribasis import (
 from tribasis.cli import (
     BenchmarkConfig,
     default_feature_count,
-    quadrature_mse,
     run_benchmark,
     write_dataset,
 )

@@ -13,39 +13,46 @@ from tribasis import (
     coeff_l2_distance,
     enumerate_ball,
     enumerate_kappa_ball,
-    eval_basis,
     project,
     reconstruct,
     select_truncation,
 )
+from tribasis.basis import design_matrix
 
 SQRT2 = np.sqrt(2.0)
 
 
 # --------------------------------------------------------------------------
-# evaluation
+# evaluation: one basis function at one point is ``design_matrix`` on a
+# one-index set
+
+
+def basis_value(alpha, x) -> float:
+    design = design_matrix(BasisIndexSet(len(alpha), [alpha]), [x])
+    assert design.shape == (1, 1)
+    return float(design[0, 0])
 
 
 def test_eval_basis_constant_index():
-    assert eval_basis((0,), (0.37,)) == pytest.approx(1.0)
+    assert basis_value((0,), (0.37,)) == pytest.approx(1.0)
 
 
 def test_eval_basis_first_mode_at_zero():
-    assert eval_basis((1,), (0.0,)) == pytest.approx(SQRT2)
+    assert basis_value((1,), (0.0,)) == pytest.approx(SQRT2)
 
 
 def test_eval_basis_tensor_product():
-    assert eval_basis((1, 2), (0.0, 0.5)) == pytest.approx(-2.0)
+    assert basis_value((1, 2), (0.0, 0.5)) == pytest.approx(-2.0)
 
 
 def test_eval_basis_dimension_mismatch():
     with pytest.raises(ValueError):
-        eval_basis((1, 2), (0.5,))
+        basis_value((1, 2), (0.5,))
 
 
 def test_eval_basis_out_of_range_point():
     with pytest.raises(ValueError):
-        eval_basis((1,), (1.5,))
+        basis_value((1,), (1.5,))
 
 
 def test_eval_matches_reference_formula():
@@ -55,7 +62,7 @@ def test_eval_matches_reference_formula():
         alpha = rng.integers(0, 7, size=d)
         x = rng.uniform(size=d)
         expected = cosine_basis_reference(alpha, x.reshape(1, -1))[0]
-        assert eval_basis(alpha, x) == pytest.approx(expected, rel=1e-12)
+        assert basis_value(alpha, x) == pytest.approx(expected, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -564,14 +571,13 @@ def test_select_truncation_validation():
 
 
 def test_sup_norm_bound():
-    from tribasis.basis import design_matrix, sup_norm_bound
-
+    # every tensor-product basis function is bounded by 2^(d/2)
     rng = np.random.default_rng(44)
     for dim in (1, 2):
         iset = enumerate_ball(dim, 5.0)
         pts = rng.uniform(size=(2000, dim))
         phi = design_matrix(iset, pts)
-        assert np.abs(phi).max() <= sup_norm_bound(dim) + 1e-12
+        assert np.abs(phi).max() <= 2 ** (dim / 2) + 1e-12
 
 
 def test_kappa_ball_enumeration_guard():

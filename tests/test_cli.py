@@ -7,7 +7,7 @@ import numpy as np
 import orjson
 import pytest
 
-from helpers import count_designs, ingest_dataset_reference
+from helpers import count_designs, ingest_dataset_reference, quadrature_mse
 from tribasis import (
     FunctionObservation,
     SobolevSpec,
@@ -35,7 +35,6 @@ from tribasis.cli import (
     ingest_dataset,
     main,
     midpoint_grid,
-    quadrature_mse,
     read_series,
     run_benchmark,
     synthetic_task,
@@ -307,6 +306,50 @@ def test_co_occurring_windows():
     pin, pout = pairs[0]
     np.testing.assert_allclose(transform.invert(pin.values), [0.0, 1.0, 2.0])
     np.testing.assert_allclose(transform.invert(pout.values), [0.0, 2.0, 4.0])
+
+
+def test_co_occurring_window_too_short():
+    with pytest.raises(ValueError, match="too short"):
+        window_series(np.arange(2.0), SeriesWindowing(3, mode="co-occurring"),
+                      co_values=np.arange(2.0))
+
+
+@pytest.mark.parametrize("mode, length, w, stride", [
+    ("forward", 20, 4, 1),
+    ("forward", 23, 5, 3),
+    ("co-occurring", 20, 4, 1),
+    ("co-occurring", 23, 5, 3),
+])
+def test_overlapping_strides(mode, length, w, stride):
+    series = np.arange(float(length))
+    co = 100.0 + series if mode == "co-occurring" else None
+    pairs, transform = window_series(
+        series, SeriesWindowing(w, mode=mode, stride=stride), co_values=co
+    )
+    need = 2 * w if mode == "forward" else w
+    assert len(pairs) == (length - need) // stride + 1
+    offset = w if mode == "forward" else 0
+    target = series if co is None else co
+    for i, (pin, pout) in enumerate(pairs):
+        start = i * stride
+        np.testing.assert_allclose(transform.invert(pin.values),
+                                   series[start : start + w], rtol=1e-13)
+        np.testing.assert_allclose(transform.invert(pout.values),
+                                   target[start + offset : start + offset + w],
+                                   rtol=1e-13)
+
+
+def test_co_occurring_transform_spans_both_series():
+    # the minimum lies in the co-series and the maximum in the series
+    a = np.array([2.0, 5.0, 3.0, 9.0])
+    b = np.array([-1.0, 0.0, 4.0, 1.0])
+    pairs, transform = window_series(
+        a, SeriesWindowing(2, mode="co-occurring"), co_values=b
+    )
+    assert (transform.offset, transform.scale) == (-1.0, 10.0)
+    values = np.concatenate([v.values for pair in pairs for v in pair])
+    assert values.min() == 0.0 and values.max() == 1.0
+    np.testing.assert_allclose(pairs[1][1].values, [0.5, 0.2])
 
 
 def test_co_occurring_needs_second_series():
@@ -605,10 +648,19 @@ def test_cli_window_rejects_non_finite_series(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["fit", "--data", str(tmp_path / "missing.jsonl"),
                  "--model", str(tmp_path / "m.json")]) == 1
+    capsys.readouterr()
+    # parse errors: the usage line and "<prog>: error: ..." on stderr
     assert main(["no-such-command"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tribasis") and "\ntribasis: error: " in err
+    assert main(["fit", "--data", "d.jsonl", "--model", "m.json",
+                 "--features", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tribasis fit") and "\ntribasis fit: error: " in err
+    assert "--features: invalid int value: 'abc'" in err
     assert main(["bench"]) == 1  # missing required --report
     assert main(["bench", "--report", str(tmp_path / "r.json"),
                  "--quadrature", "64"]) == 1  # removed option

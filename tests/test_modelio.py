@@ -1,6 +1,7 @@
 """Model files: bit-exact round trips and distinct failure modes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tribasis import (
     sample_feature_map,
     save_model,
 )
+from tribasis.cli import main, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +130,45 @@ def test_index_size_mismatch(fitted, tmp_path):
 def test_save_unknown_model_type(tmp_path):
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "x.json")
+
+
+# every scalar field of each model type, as a path into the document
+SCALAR_FIELDS = [
+    ("triple-basis", ("dimensions", "l")),
+    ("triple-basis", ("dimensions", "k")),
+    ("triple-basis", ("dimensions", "s")),
+    ("triple-basis", ("dimensions", "r")),
+    ("triple-basis", ("dimensions", "D")),
+    ("triple-basis", ("sigma",)),
+    ("triple-basis", ("lambda",)),
+    ("triple-basis", ("seed",)),
+    ("triple-basis", ("training_count",)),
+    ("linear-smoother", ("dimensions", "l")),
+    ("linear-smoother", ("dimensions", "N")),
+    ("linear-smoother", ("bandwidth",)),
+]
+
+
+@pytest.mark.parametrize("value", ["missing", None, "1"])
+@pytest.mark.parametrize(
+    "kind, field", SCALAR_FIELDS, ids=[f"{k}-{'.'.join(f)}" for k, f in SCALAR_FIELDS]
+)
+def test_malformed_scalar_field(fitted, tmp_path, capsys, kind, field, value):
+    model, smoother, test = fitted
+    path = tmp_path / "model.json"
+    save_model(model if kind == "triple-basis" else smoother, path)
+    doc = json.loads(path.read_text())
+    parent = doc[field[0]] if len(field) == 2 else doc
+    if value == "missing":
+        del parent[field[-1]]
+    else:
+        parent[field[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(repr(".".join(field)))):
+        load_model(path)
+    data = tmp_path / "data.jsonl"
+    write_dataset(test, data)
+    argv = ["predict", "--model", str(path), "--data", str(data),
+            "--out", str(tmp_path / "preds.jsonl")]
+    assert main(argv) == 1
+    assert f"'{'.'.join(field)}'" in capsys.readouterr().err

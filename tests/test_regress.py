@@ -7,7 +7,6 @@ from scipy import linalg as sla
 
 from helpers import identity_task
 from tribasis import (
-    CoefficientVector,
     FunctionObservation,
     IllConditionedError,
     TrainingSummary,
@@ -48,23 +47,18 @@ def _lstsq_oracle(z, a):
 def test_accumulate_single_pair():
     rng = np.random.default_rng(0)
     fmap = sample_feature_map(3, 8, 1.0, seed=1)
-    u = CoefficientVector(enumerate_ball(1, 2.0), rng.standard_normal(3))
-    v = CoefficientVector(enumerate_ball(1, 1.0), rng.standard_normal(2))
-    summary = accumulate(TrainingSummary.zeros(8, 2), u, v, fmap)
-    from tribasis import compute_features
-
-    z = compute_features(fmap, u.coefficients)
+    u, v = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
+    summary = accumulate(u, v, fmap)
+    z = compute_features_batch(fmap, u)[0]
     assert np.array_equal(summary.gram, np.outer(z, z))
-    assert np.array_equal(summary.cross, np.outer(z, v.coefficients))
+    assert np.array_equal(summary.cross, np.outer(z, v[0]))
     assert summary.count == 1
 
 
 def test_accumulate_zero_output_leaves_cross_unchanged():
     rng = np.random.default_rng(2)
     fmap = sample_feature_map(3, 8, 1.0, seed=1)
-    u = CoefficientVector(enumerate_ball(1, 2.0), rng.standard_normal(3))
-    v = CoefficientVector(enumerate_ball(1, 1.0), np.zeros(2))
-    summary = accumulate(TrainingSummary.zeros(8, 2), u, v, fmap)
+    summary = accumulate(rng.standard_normal((1, 3)), np.zeros((1, 2)), fmap)
     assert np.all(summary.cross == 0.0)
     assert np.any(summary.gram != 0.0)
 
@@ -72,38 +66,32 @@ def test_accumulate_zero_output_leaves_cross_unchanged():
 def test_shard_merge_matches_union():
     rng = np.random.default_rng(3)
     fmap = sample_feature_map(4, 10, 1.0, seed=5)
-    uset, vset = enumerate_ball(1, 3.0), enumerate_ball(1, 2.0)
-    pairs = [
-        (
-            CoefficientVector(uset, rng.standard_normal(4)),
-            CoefficientVector(vset, rng.standard_normal(3)),
-        )
-        for _ in range(100)
-    ]
-    whole = TrainingSummary.zeros(10, 3)
-    for u, v in pairs:
-        whole = accumulate(whole, u, v, fmap)
-    first = TrainingSummary.zeros(10, 3)
-    for u, v in pairs[:37]:
-        first = accumulate(first, u, v, fmap)
-    second = TrainingSummary.zeros(10, 3)
-    for u, v in pairs[37:]:
-        second = accumulate(second, u, v, fmap)
+    inputs, outputs = rng.standard_normal((100, 4)), rng.standard_normal((100, 3))
+    whole = accumulate(inputs, outputs, fmap)
+    first = accumulate(inputs[:37], outputs[:37], fmap)
+    second = accumulate(inputs[37:], outputs[37:], fmap)
     merged = first.merge(second)
     np.testing.assert_allclose(merged.gram, whole.gram, rtol=1e-10)
     np.testing.assert_allclose(merged.cross, whole.cross, rtol=1e-10)
     assert merged.count == whole.count == 100
+    # an empty shard is the identity of merge
+    empty = accumulate(np.empty((0, 4)), np.empty((0, 3)), fmap)
+    assert empty.count == 0 and not empty.gram.any() and not empty.cross.any()
+    assert np.array_equal(whole.merge(empty).gram, whole.gram)
 
 
 def test_accumulate_dimension_checks():
     fmap = sample_feature_map(3, 8, 1.0, seed=1)
-    u_bad = CoefficientVector(enumerate_ball(1, 3.0), np.zeros(4))
-    v = CoefficientVector(enumerate_ball(1, 1.0), np.zeros(2))
     with pytest.raises(ValueError):
-        accumulate(TrainingSummary.zeros(8, 2), u_bad, v, fmap)
-    u = CoefficientVector(enumerate_ball(1, 2.0), np.zeros(3))
+        accumulate(np.zeros((2, 4)), np.zeros((2, 2)), fmap)  # 4 input columns
     with pytest.raises(ValueError):
-        accumulate(TrainingSummary.zeros(8, 3), u, v, fmap)
+        accumulate(np.zeros((2, 3)), np.zeros((3, 2)), fmap)  # 3 output rows
+    with pytest.raises(ValueError):
+        accumulate(np.zeros((2, 3)), np.zeros(2), fmap)  # outputs not a matrix
+    with pytest.raises(ValueError):
+        accumulate(np.zeros((2, 3)), np.zeros((2, 2)), fmap).merge(
+            accumulate(np.zeros((2, 3)), np.zeros((2, 3)), fmap)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +221,7 @@ def test_solve_holds_one_shifted_copy(definite):
 
 
 def test_negative_ridge_rejected():
-    summary = TrainingSummary.zeros(3, 1)
+    summary = TrainingSummary(np.zeros((3, 3)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         solve(summary, -1.0)
 
@@ -292,16 +280,13 @@ def test_fit_equals_accumulate_solve_composition():
     train, _, uset, _ = _tiny_task(17, n_train=40)
     fmap = sample_feature_map(len(uset), 12, 2.0, seed=18)
     model = fit(train, uset, uset, fmap, 1e-6)
-    summary = TrainingSummary.zeros(fmap.feature_count, len(uset))
-    for p, q in train:
-        summary = accumulate(summary, project(p, uset), project(q, uset), fmap)
-    from tribasis.regress import _accumulate_matrices
-
-    batched = _accumulate_matrices(
-        np.vstack([project(p, uset).coefficients for p, _ in train]),
-        np.vstack([project(q, uset).coefficients for _, q in train]),
-        fmap,
-    )
+    inputs = np.vstack([project(p, uset).coefficients for p, _ in train])
+    outputs = np.vstack([project(q, uset).coefficients for _, q in train])
+    # one shard per pair, merged in order
+    summary = accumulate(inputs[:1], outputs[:1], fmap)
+    for i in range(1, len(train)):
+        summary = summary.merge(accumulate(inputs[i : i + 1], outputs[i : i + 1], fmap))
+    batched = accumulate(inputs, outputs, fmap)
     np.testing.assert_allclose(batched.gram, summary.gram, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(batched.cross, summary.cross, rtol=1e-10, atol=1e-14)
     psi = solve(summary, 1e-6)
@@ -328,7 +313,7 @@ def test_fit_dual_matches_primal_and_augmented_lstsq(monkeypatch):
     def no_gram(*args):
         raise AssertionError("the D x D Gram was accumulated")
 
-    monkeypatch.setattr(regress, "_accumulate_matrices", no_gram)
+    monkeypatch.setattr(regress, "accumulate", no_gram)
     for lam in (1e-4, 1e-2, 1.0):
         psi = fit(train, uset, uset, fmap, lam).psi
         reference = solve(primal, lam)
