@@ -21,6 +21,7 @@ from .basis import (
     enumerate_ball,
     enumerate_kappa_ball,
     project,
+    project_all,
     reconstruct,
     select_truncation,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "predict_coeffs",
     "predict_function",
     "project",
+    "project_all",
     "rbf_kernel",
     "reconstruct",
     "sample_feature_map",

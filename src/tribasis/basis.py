@@ -21,6 +21,7 @@ product against per-radius column masks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,6 +426,17 @@ def coeff_l2_distance(a: CoefficientVector, b: CoefficientVector) -> float:
     return float(np.linalg.norm(a.coefficients - b.coefficients))
 
 
+@functools.lru_cache(maxsize=8)
+def _radius_ball(dimension: int, radii: tuple):
+    """The largest radius's ball and a read-only mask column per radius,
+    built once for the 50 calls of ``average_truncation_radius``."""
+    indices = enumerate_ball(dimension, radii[-1]).indices
+    sq_norm = (indices.astype(float) ** 2).sum(axis=1)
+    masks = (sq_norm[:, None] <= np.square(radii)).astype(float)
+    masks.setflags(write=False)
+    return indices, masks
+
+
 def select_truncation(
     obs: FunctionObservation, candidate_radii, folds: int
 ) -> float:
@@ -449,11 +461,8 @@ def select_truncation(
     if n < folds:
         raise ValueError(f"{n} observation points cannot fill {folds} folds")
 
-    superset = enumerate_ball(obs.dimension, radii[-1])
-    phi = _shared_design(obs.points, superset.indices)
-    sq_norm = (superset.indices.astype(float) ** 2).sum(axis=1)
-    # column i keeps the superset coefficients inside radius i
-    masks = (sq_norm[:, None] <= np.square(radii)).astype(float)
+    indices, masks = _radius_ball(obs.dimension, tuple(radii))
+    phi = _shared_design(obs.points, indices)
 
     fold_id = np.arange(n) % folds
     sse = np.zeros(len(radii))

@@ -103,6 +103,35 @@ def compute_features_batch(fmap: RksFeatureMap, xs) -> np.ndarray:
     return out
 
 
+def feature_ladder(fmaps, xs) -> list:
+    """``compute_features_batch(fmap, xs)`` for each map, in order, up to
+    round-off. ``sample_feature_map`` divides the same normals by each
+    bandwidth, so halving it doubles every angle theta = freq @ x exactly.
+    From the largest bandwidth down, a map with the previous map's phases
+    and twice its frequencies steps (c, s) = (cos, sin)(theta) to
+    (c^2 - s^2, 2cs), with features scale * (c cos(phase) - s sin(phase)).
+    A chain's first map evaluates cos and sin, a map in none is direct;
+    round-off doubles per step."""
+    order = sorted(range(len(fmaps)), key=lambda i: -fmaps[i].bandwidth)
+    doubles = [np.array_equal(fmaps[b].phases, fmaps[a].phases)
+               and np.array_equal(fmaps[b].frequencies, 2.0 * fmaps[a].frequencies)
+               for a, b in zip(order, order[1:])] + [False]
+    out = [None] * len(fmaps)
+    for pos, i in enumerate(order):
+        fmap = fmaps[i]
+        if pos and doubles[pos - 1]:
+            c, s = c * c - s * s, 2.0 * c * s
+        elif doubles[pos]:
+            theta = xs @ fmap.frequencies.T
+            c, s = np.cos(theta), np.sin(theta)
+        else:
+            out[i] = compute_features_batch(fmap, xs)
+            continue
+        out[i] = c * (fmap.scale * np.cos(fmap.phases))
+        out[i] -= s * (fmap.scale * np.sin(fmap.phases))
+    return out
+
+
 def rbf_kernel(distance, bandwidth: float):
     """The kernel the feature map approximates: exp(-r^2 / (2 * sigma^2))."""
     r = np.asarray(distance, dtype=float)

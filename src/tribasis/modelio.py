@@ -65,10 +65,10 @@ def _require(doc, key, where=""):
     return doc[key]
 
 
-def _scalar(doc, key, kind, where=""):
-    """``doc[key]`` as ``kind``: int fields take JSON integers, float fields
-    any JSON number. A missing field, null or another JSON type raises
-    ModelFormatError."""
+def _scalar(doc, key, kind, low, where="", strict=False):
+    """``doc[key]`` as ``kind`` (int: a JSON integer; float: a finite JSON
+    number), at least ``low`` or, when ``strict``, above it. Otherwise, or
+    when missing or null, raises ModelFormatError."""
     value = _require(doc, key, where)
     allowed = (int,) if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
@@ -76,7 +76,11 @@ def _scalar(doc, key, kind, where=""):
         found = "null" if value is None else type(value).__name__
         raise ModelFormatError(
             f"field {where + key!r} must be {expected}, found {found}")
-    return kind(value)
+    value = kind(value)
+    if not (value > low if strict else value >= low) or value == float("inf"):
+        raise ModelFormatError(f"field {where + key!r} must be finite and "
+                               f"{'>' if strict else '>='} {low}, found {value!r}")
+    return value
 
 
 def _index_set(doc, key, dimension, rule_key) -> BasisIndexSet:
@@ -141,7 +145,7 @@ def _read_header(doc):
     if not isinstance(dims, dict):
         raise ModelFormatError("field 'dimensions' must be an object")
     l, k, s, r, size = (
-        _scalar(dims, key, int, "dimensions.")
+        _scalar(dims, key, int, 1, "dimensions.")
         for key in ("l", "k", "s", "r", _SIZE_KEY[kind])
     )
     input_set = _index_set(doc, "input_indices", l, "input_rule")
@@ -209,26 +213,26 @@ def load_model(source):
             fmap = RksFeatureMap(
                 input_dim=s,
                 feature_count=size,
-                bandwidth=_scalar(doc, "sigma", float),
+                bandwidth=_scalar(doc, "sigma", float, 0.0, strict=True),
                 frequencies=_matrix(doc, "frequencies", size, s),
                 phases=_vector(doc, "phases", size),
-                seed=_scalar(doc, "seed", int),
+                seed=_scalar(doc, "seed", int, 0),
             )
             return TripleBasisModel(
                 input_index_set=input_set,
                 output_index_set=output_set,
                 feature_map=fmap,
                 psi=_matrix(doc, "psi", size, r),
-                ridge_lambda=_scalar(doc, "lambda", float),
+                ridge_lambda=_scalar(doc, "lambda", float, 0.0),
                 basis_tag=str(_require(doc, "basis_tag")),
-                training_count=_scalar(doc, "training_count", int),
+                training_count=_scalar(doc, "training_count", int, 0),
             )
         return LinearSmootherModel(
             input_index_set=input_set,
             output_index_set=output_set,
             train_inputs=_matrix(doc, "train_inputs", size, s),
             train_outputs=_matrix(doc, "train_outputs", size, r),
-            bandwidth=_scalar(doc, "bandwidth", float),
+            bandwidth=_scalar(doc, "bandwidth", float, 0.0, strict=True),
             kernel_tag=str(doc.get("kernel_tag", "epanechnikov")),
         )
     except ModelFormatError:

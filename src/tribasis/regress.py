@@ -33,11 +33,13 @@ from .features import (
     RksFeatureMap,
     compute_features,
     compute_features_batch,
+    feature_ladder,
     sample_feature_map,
 )
 
 DEFAULT_MAX_CONDITION = 1e12
 _BATCH_ROWS = 4096
+_CV_ROWS = 256  # rows per block of fit_cv's streamed primal search
 # default hyperparameter grids of the triple-basis search
 SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 LAMBDA_GRID = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -204,26 +206,17 @@ class TripleBasisModel:
         self.psi = psi
 
 
-def _fit_model(inputs: np.ndarray, outputs: np.ndarray, input_index_set,
-               output_index_set, fmap: RksFeatureMap, ridge_lambda: float):
-    """Model fitted on coefficient rows. With lambda > 0 and fewer rows than
-    features, psi is Z^T alpha from the N x N dual system
+def _fit_psi(inputs: np.ndarray, outputs: np.ndarray, fmap: RksFeatureMap,
+             ridge_lambda: float) -> np.ndarray:
+    """psi fitted on coefficient rows. With lambda > 0 and fewer rows than
+    features it is Z^T alpha from the N x N dual system
     (Z Z^T + lambda I) alpha = Y; otherwise it solves the primal D x D
     normal equations."""
     if ridge_lambda > 0 and inputs.shape[0] < fmap.feature_count:
         z = compute_features_batch(fmap, inputs)
         kernel = TrainingSummary(z @ z.T, outputs, inputs.shape[0])
-        psi = z.T @ solve(kernel, ridge_lambda)
-    else:
-        psi = solve(accumulate(inputs, outputs, fmap), ridge_lambda)
-    return TripleBasisModel(
-        input_index_set=input_index_set,
-        output_index_set=output_index_set,
-        feature_map=fmap,
-        psi=psi,
-        ridge_lambda=float(ridge_lambda),
-        training_count=inputs.shape[0],
-    )
+        return z.T @ solve(kernel, ridge_lambda)
+    return solve(accumulate(inputs, outputs, fmap), ridge_lambda)
 
 
 def fit(
@@ -246,8 +239,9 @@ def fit(
         raise ValueError("dataset must be non-empty")
     inputs = project_all([p for p, _ in dataset], input_index_set)
     outputs = project_all([q for _, q in dataset], output_index_set)
-    return _fit_model(inputs, outputs, input_index_set, output_index_set, fmap,
-                      ridge_lambda)
+    psi = _fit_psi(inputs, outputs, fmap, ridge_lambda)
+    return TripleBasisModel(input_index_set, output_index_set, fmap, psi,
+                            float(ridge_lambda), training_count=len(dataset))
 
 
 def predict_coeffs(
@@ -297,6 +291,46 @@ class CvResult:
     grid: list = field(default_factory=list)
 
 
+def _primal_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
+    """Held-out MSE table (maps, penalties) and each map's fitting summary
+    from two passes over row blocks: one accumulates, one scores."""
+    d, r, n_lam = fmaps[0].feature_count, outputs.shape[1], len(lambda_grid)
+    grams, crosses = np.zeros((len(fmaps), d, d)), np.zeros((len(fmaps), d, r))
+    for start in range(0, len(fit_idx), _CV_ROWS):
+        rows = fit_idx[start:start + _CV_ROWS]
+        for gram, cross, z in zip(grams, crosses, feature_ladder(fmaps, inputs[rows])):
+            gram += z.T @ z
+            cross += z.T @ outputs[rows]
+    summaries = [TrainingSummary(g, c, len(fit_idx)) for g, c in zip(grams, crosses)]
+    # each map's solutions side by side, so one product scores every penalty
+    psis = [np.hstack([solve(t, lam) for lam in lambda_grid]) for t in summaries]
+    sse = np.zeros((len(fmaps), n_lam))
+    for start in range(0, len(val_idx), _CV_ROWS):
+        rows = val_idx[start:start + _CV_ROWS]
+        for k, z in enumerate(feature_ladder(fmaps, inputs[rows])):
+            resid = (z @ psis[k]).reshape(len(rows), n_lam, r) - outputs[rows][:, None]
+            sse[k] += (resid * resid).sum(axis=(0, 2))
+    return sse / len(val_idx), summaries
+
+
+def _dual_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
+    """``_primal_search`` for fewer fitting rows than features, in the dual."""
+    mse = np.zeros((len(fmaps), len(lambda_grid)))
+    x_fit, y_fit = inputs[fit_idx], outputs[fit_idx]
+    for k, fmap in enumerate(fmaps):
+        z_fit = compute_features_batch(fmap, x_fit)
+        z_val = compute_features_batch(fmap, inputs[val_idx])
+        kernel = TrainingSummary(z_fit @ z_fit.T, y_fit, len(fit_idx))
+        for j, lam in enumerate(lambda_grid):
+            if lam > 0:
+                psi = z_fit.T @ solve(kernel, lam)
+            else:
+                psi = solve(accumulate(x_fit, y_fit, fmap), lam)
+            resid = z_val @ psi - outputs[val_idx]
+            mse[k, j] = (resid * resid).sum() / len(val_idx)
+    return mse, None
+
+
 def fit_cv(
     dataset,
     input_index_set: BasisIndexSet,
@@ -310,60 +344,41 @@ def fit_cv(
     (``holdout_split``), scored by held-out output-coefficient mean squared
     error, then refit on all data.
 
-    A positive penalty with fewer fitting rows than features is solved in
-    the dual, like ``fit``: per bandwidth the N x N training kernel and the
-    held-out cross kernel are built once and every penalty of the grid
-    reuses them.
-
-    Ties keep the first grid point in iteration order.
+    With at least as many fitting rows as features, row blocks stream
+    through ``feature_ladder``. Its maps share normals scaled by powers of
+    two, so on a grid of exact halvings (the default) one sine and cosine
+    pass serves every bandwidth; one in no halving chain is evaluated
+    directly. The refit adds the held-out rows' normal equations to the
+    search's. With fewer, positive penalties are solved in the dual and
+    the refit is ``fit``'s. The log keeps the caller's order and its first
+    tie, searching a repeat once.
     """
     dataset = list(dataset)
     if len(dataset) < 2:
         raise ValueError("hyperparameter search needs at least two instances")
     inputs = project_all([p for p, _ in dataset], input_index_set)
     outputs = project_all([q for _, q in dataset], output_index_set)
-    n = len(dataset)
-    val_idx, train_idx = holdout_split(n, seed)
-    n_fit = len(train_idx)
+    val_idx, fit_idx = holdout_split(len(dataset), seed)
+    sigmas = list(dict.fromkeys(bandwidth_grid))
+    fmaps = [sample_feature_map(inputs.shape[1], feature_count, bw, seed)
+             for bw in sigmas]
+    primal = len(fit_idx) >= feature_count
+    search = _primal_search if primal else _dual_search
+    mse, summaries = search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid)
 
-    best = None
-    grid_log = []
-    for bw in bandwidth_grid:
-        fmap = sample_feature_map(inputs.shape[1], feature_count, bw, seed)
-        z_train = compute_features_batch(fmap, inputs[train_idx])
-        z_val = compute_features_batch(fmap, inputs[val_idx])
-        # (system, held-out design) pairs, each built on first use
-        primal = dual = None
-        for lam in lambda_grid:
-            if lam > 0 and n_fit < feature_count:
-                if dual is None:
-                    dual = (
-                        TrainingSummary(z_train @ z_train.T, outputs[train_idx], n_fit),
-                        z_val @ z_train.T,
-                    )
-                system, design = dual
-            else:
-                if primal is None:
-                    primal = (
-                        TrainingSummary(
-                            z_train.T @ z_train, z_train.T @ outputs[train_idx], n_fit
-                        ),
-                        z_val,
-                    )
-                system, design = primal
-            resid = design @ solve(system, lam) - outputs[val_idx]
-            mse = float((resid * resid).sum() / len(val_idx))
-            grid_log.append({"bandwidth": bw, "ridge_lambda": lam, "mse": mse})
-            if best is None or mse < best[0]:
-                best = (mse, bw, lam)
-
-    mse, bw, lam = best
-    fmap = sample_feature_map(inputs.shape[1], feature_count, bw, seed)
-    return CvResult(
-        model=_fit_model(inputs, outputs, input_index_set, output_index_set,
-                         fmap, lam),
-        bandwidth=float(bw),
-        ridge_lambda=float(lam),
-        validation_mse=mse,
-        grid=grid_log,
-    )
+    rows = [sigmas.index(bw) for bw in bandwidth_grid]
+    table = mse[rows]  # the caller's order, so argmin keeps its first tie
+    grid_log = [{"bandwidth": bw, "ridge_lambda": lam, "mse": float(m)}
+                for bw, scores in zip(bandwidth_grid, table)
+                for lam, m in zip(lambda_grid, scores)]
+    i, j = np.unravel_index(np.argmin(table), table.shape)
+    k, lam = rows[i], lambda_grid[j]
+    if primal:  # the held-out rows complete the search's fitting summary
+        held_out = accumulate(inputs[val_idx], outputs[val_idx], fmaps[k])
+        psi = solve(summaries[k].merge(held_out), lam)
+    else:
+        psi = _fit_psi(inputs, outputs, fmaps[k], lam)
+    model = TripleBasisModel(input_index_set, output_index_set, fmaps[k], psi,
+                             float(lam), training_count=len(dataset))
+    return CvResult(model=model, bandwidth=float(sigmas[k]), ridge_lambda=float(lam),
+                    validation_mse=float(table[i, j]), grid=grid_log)

@@ -11,6 +11,7 @@ from tribasis import (
     rbf_kernel,
     sample_feature_map,
 )
+from tribasis.features import feature_ladder
 
 
 def test_same_seed_identical_maps():
@@ -130,3 +131,41 @@ def test_map_shape_validation():
         RksFeatureMap(2, 3, 1.0, np.zeros((3, 2)), np.zeros(2), 0)
     with pytest.raises(ValueError):
         RksFeatureMap(2, 3, 1.0, np.zeros((3, 2)), np.full(3, 7.0), 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ladder_matches_batch_on_a_halving_chain(seed):
+    # nine bandwidths, each half the previous: eight double-angle steps
+    rng = np.random.default_rng(seed)
+    s = 1 + seed
+    xs = rng.standard_normal((64, s)) * (1 + seed)
+    fmaps = [sample_feature_map(s, 300, 2.0 ** (3 - k), seed) for k in range(9)]
+    ladder = feature_ladder(fmaps, xs)
+    # the first map's angles are computed, each later map's are 2^k times
+    # them: the chain's angle error and the reference's rounding of
+    # theta + phase both grow like 2^k (1 + |theta|) eps, measured at about
+    # a third of that
+    head = np.abs(xs @ fmaps[0].frequencies.T).max()
+    eps = np.finfo(float).eps
+    for k, (z, fmap) in enumerate(zip(ladder, fmaps)):
+        err = np.abs(z - compute_features_batch(fmap, xs)).max()
+        assert err <= fmap.scale * eps * 2.0 ** (k + 2) * (1.0 + head)
+
+
+def test_ladder_keeps_caller_order_and_evaluates_unchained_maps_directly():
+    xs = np.random.default_rng(12).standard_normal((20, 3))
+    grid = (1.0, 4.0, 0.5, 2.0, 3.0)
+    fmaps = [sample_feature_map(3, 50, bw, 5) for bw in grid]
+    # a halved bandwidth drawn from another seed shares no normals
+    fmaps.append(sample_feature_map(3, 50, 0.25, 6))
+    ladder = feature_ladder(fmaps, xs)
+    assert len(ladder) == len(fmaps)
+    for z, fmap in zip(ladder, fmaps):
+        direct = compute_features_batch(fmap, xs)
+        if fmap.bandwidth in (4.0, 3.0, 0.25):
+            # from the largest down: 4 and 3 have no halving neighbour
+            # (2 is not adjacent to 4), and the other seed's map none
+            assert np.array_equal(z, direct)
+        else:
+            np.testing.assert_allclose(z, direct, rtol=0, atol=1e-14)
+    assert feature_ladder([], xs) == []

@@ -172,3 +172,48 @@ def test_malformed_scalar_field(fitted, tmp_path, capsys, kind, field, value):
             "--out", str(tmp_path / "preds.jsonl")]
     assert main(argv) == 1
     assert f"'{'.'.join(field)}'" in capsys.readouterr().err
+
+
+# (kind, field, value) with the value non-finite or below the field's bound
+OUT_OF_RANGE = [
+    ("triple-basis", ("sigma",), float("nan")),
+    ("triple-basis", ("sigma",), float("inf")),
+    ("triple-basis", ("sigma",), 0.0),
+    ("triple-basis", ("lambda",), float("nan")),
+    ("triple-basis", ("lambda",), float("-inf")),
+    ("triple-basis", ("lambda",), -1),
+    ("triple-basis", ("seed",), -1),
+    ("triple-basis", ("training_count",), -5),
+    ("triple-basis", ("dimensions", "l"), 0),
+    ("triple-basis", ("dimensions", "k"), 0),
+    ("triple-basis", ("dimensions", "s"), 0),
+    ("triple-basis", ("dimensions", "r"), -2),
+    ("triple-basis", ("dimensions", "D"), 0),
+    ("linear-smoother", ("bandwidth",), float("inf")),
+    ("linear-smoother", ("bandwidth",), -0.5),
+    ("linear-smoother", ("dimensions", "N"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, field, value", OUT_OF_RANGE,
+    ids=[f"{k}-{'.'.join(f)}={v}" for k, f, v in OUT_OF_RANGE],
+)
+def test_out_of_range_scalar_field(fitted, tmp_path, capsys, kind, field, value):
+    model, smoother, test = fitted
+    path = tmp_path / "model.json"
+    save_model(model if kind == "triple-basis" else smoother, path)
+    doc = json.loads(path.read_text())
+    parent = doc[field[0]] if len(field) == 2 else doc
+    parent[field[-1]] = value
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    name = repr(".".join(field))
+    with pytest.raises(ModelFormatError, match=re.escape(name)) as caught:
+        load_model(path)
+    assert caught.type is ModelFormatError
+    data = tmp_path / "data.jsonl"
+    write_dataset(test, data)
+    argv = ["predict", "--model", str(path), "--data", str(data),
+            "--out", str(tmp_path / "preds.jsonl")]
+    assert main(argv) == 1
+    assert name in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from helpers import identity_task
+from helpers import identity_task, select_truncation_reference
 from tribasis import (
     FunctionObservation,
     IllConditionedError,
@@ -23,7 +23,7 @@ from tribasis import (
     sample_feature_map,
     solve,
 )
-from tribasis import regress
+from tribasis import basis, features, regress
 from tribasis.basis import holdout_split, project_all
 
 
@@ -422,6 +422,120 @@ def test_average_truncation_radius():
     assert 0.0 <= t <= 4.0
     with pytest.raises(ValueError):
         average_truncation_radius([], (0.0, 1.0), 2)
+
+
+def test_average_truncation_radius_enumerates_the_ball_once(monkeypatch):
+    train, _, _, _ = _tiny_task(29, n_train=12, n_points=120)
+    inputs = [p for p, _ in train]
+    radii = (0.0, 1.0, 2.0, 3.0, 4.0)
+    picks = [select_truncation_reference(p, radii, 4) for p in inputs]
+    calls = []
+    enumerate_ball_ = basis.enumerate_ball
+    monkeypatch.setattr(basis, "enumerate_ball",
+                        lambda *args: calls.append(args) or enumerate_ball_(*args))
+    basis._radius_ball.cache_clear()
+    assert average_truncation_radius(inputs, radii, folds=4) == np.mean(picks)
+    assert calls == [(1, 4.0)]
+
+
+def _search_reference(train, uset, feature_count, seed, sigmas, lams):
+    """(mse, bandwidth, penalty) per grid point in the caller's order, each
+    bandwidth featurized directly and solved on its whole fitting split."""
+    inputs = project_all([p for p, _ in train], uset)
+    outputs = project_all([q for _, q in train], uset)
+    val_idx, fit_idx = holdout_split(len(train), seed)
+    reference = []
+    for bw in sigmas:
+        fmap = sample_feature_map(len(uset), feature_count, bw, seed)
+        z_fit = compute_features_batch(fmap, inputs[fit_idx])
+        z_val = compute_features_batch(fmap, inputs[val_idx])
+        summary = TrainingSummary(
+            z_fit.T @ z_fit, z_fit.T @ outputs[fit_idx], len(fit_idx)
+        )
+        for lam in lams:
+            resid = z_val @ solve(summary, lam) - outputs[val_idx]
+            reference.append((float((resid * resid).sum() / len(val_idx)), bw, lam))
+    return reference
+
+
+@pytest.mark.parametrize("sigmas", [regress.SIGMA_GRID, (1.0, 4.0, 0.5, 2.0, 3.0)])
+def test_fit_cv_streamed_search_matches_per_bandwidth_reference(sigmas):
+    # more fitting rows than features, over several row blocks
+    train, _, uset, _ = _tiny_task(26, n_train=700)
+    feature_count, seed, lams = 60, 4, (1e-6, 1e-3, 1e-1)
+    assert len(holdout_split(len(train), seed)[1]) > 2 * regress._CV_ROWS
+    result = fit_cv(train, uset, uset, feature_count, seed,
+                    bandwidth_grid=sigmas, lambda_grid=lams)
+    reference = _search_reference(train, uset, feature_count, seed, sigmas, lams)
+    assert [(g["bandwidth"], g["ridge_lambda"]) for g in result.grid] == [
+        (bw, lam) for _, bw, lam in reference
+    ]
+    for entry, (mse, _, _) in zip(result.grid, reference):
+        assert entry["mse"] == pytest.approx(mse, rel=1e-8)
+    best_mse, best_bw, best_lam = min(reference, key=lambda r: r[0])
+    assert (result.bandwidth, result.ridge_lambda) == (best_bw, best_lam)
+    assert result.validation_mse == pytest.approx(best_mse, rel=1e-8)
+    # the refit reuses the search's fitting summary; fit() starts afresh
+    refit = fit(train, uset, uset,
+                sample_feature_map(len(uset), feature_count, best_bw, seed), best_lam)
+    assert np.linalg.norm(result.model.psi - refit.psi) <= 1e-10 * np.linalg.norm(refit.psi)
+    assert result.model.training_count == len(train)
+    assert result.model.feature_map.bandwidth == best_bw
+
+
+@pytest.mark.parametrize("n_train", [300, 40], ids=["primal", "dual"])
+def test_fit_cv_repeated_bandwidth(monkeypatch, n_train):
+    train, _, uset, _ = _tiny_task(28, n_train=n_train)
+    grid, lams = (1.0, 0.5, 1.0, 2.0), (1e-4, 1e-2, 1.0)
+    ladders = []
+
+    def recording_ladder(fmaps, xs):
+        ladders.append([f.bandwidth for f in fmaps])
+        return features.feature_ladder(fmaps, xs)
+
+    monkeypatch.setattr(regress, "feature_ladder", recording_ladder)
+    result = fit_cv(train, uset, uset, 60, 6, bandwidth_grid=grid, lambda_grid=lams)
+    # searched once, logged in the caller's order
+    assert all(bws == [1.0, 0.5, 2.0] for bws in ladders)
+    assert bool(ladders) == (n_train == 300)
+    assert [g["bandwidth"] for g in result.grid] == [bw for bw in grid for _ in lams]
+    scores = [g["mse"] for g in result.grid]
+    assert scores[:3] == scores[6:9]
+    first = scores.index(min(scores))  # ties keep the first grid point
+    assert (result.bandwidth, result.ridge_lambda) == (grid[first // 3], lams[first % 3])
+    assert result.validation_mse == scores[first]
+
+
+class _TrigCounter:
+    """NumPy as the features module sees it, counting the elements its
+    cosines and sines evaluate."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+    def sin(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.sin(x, *args, **kwargs)
+
+
+def test_default_grid_search_takes_few_sines_and_cosines(monkeypatch):
+    # one sine and one cosine per search element serve all five halvings,
+    # and the refit adds one cosine per held-out element; a search that
+    # featurizes each bandwidth and refits afresh takes six per element
+    train, _, uset, _ = _tiny_task(27, n_train=400)
+    feature_count = 60
+    counter = _TrigCounter()
+    monkeypatch.setattr(features, "np", counter)
+    fit_cv(train, uset, uset, feature_count, seed=5)
+    assert 2 * len(train) * feature_count <= counter.elements
+    assert counter.elements <= 3 * len(train) * feature_count
 
 
 def test_fit_cv_deterministic_and_refits_on_all_data():
