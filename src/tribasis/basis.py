@@ -478,9 +478,9 @@ def select_truncation(
 
 
 def holdout_split(n: int, seed: int):
-    """The seeded held-out split of every hyperparameter search: (held_out,
-    fitting) index arrays, the first round(0.2 * n) entries (at least one)
-    of ``default_rng(seed).permutation(n)`` held out."""
-    order = np.random.default_rng(seed).permutation(n)
+    """The held-out split of every search: (held_out, fitting) index arrays,
+    the first round(0.2 * n) (at least one) of a permutation drawn from the
+    first child of ``SeedSequence(seed)``, not the feature maps' root."""
+    order = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).permutation(n)
     n_val = max(1, int(round(0.2 * n)))
     return order[:n_val], order[n_val:]

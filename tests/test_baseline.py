@@ -17,6 +17,7 @@ from tribasis import (
 )
 from tribasis import baseline
 from tribasis.baseline import kernel_weight, lse_weights
+from tribasis.basis import holdout_split
 
 
 def _model_from_matrices(tin, tout, bandwidth):
@@ -182,9 +183,8 @@ def test_bandwidth_cv_matches_per_row_loop(monkeypatch):
 
     tin = np.vstack([project(p, uset).coefficients for p, _ in train])
     tout = np.vstack([project(q, uset).coefficients for _, q in train])
-    order = np.random.default_rng(6).permutation(len(train))
-    n_val = round(0.2 * len(train))
-    val_idx, fit_idx = order[:n_val], order[n_val:]
+    val_idx, fit_idx = holdout_split(len(train), 6)
+    n_val = len(val_idx)
     loop_mses, unsupported = [], 0
     for bw in grid:
         sub = _model_from_matrices(tin[fit_idx], tout[fit_idx], bw)

@@ -538,6 +538,23 @@ def test_default_grid_search_takes_few_sines_and_cosines(monkeypatch):
     assert counter.elements <= 3 * len(train) * feature_count
 
 
+def test_split_and_feature_maps_draw_independent_streams():
+    n, seed = 120, 11
+    val_idx, fit_idx = holdout_split(n, seed)
+    assert (len(val_idx), len(fit_idx)) == (24, 96)
+    order = np.concatenate([val_idx, fit_idx])
+    assert np.array_equal(np.sort(order), np.arange(n))
+    # the feature maps draw from default_rng(seed); the split must not
+    assert not np.array_equal(order, np.random.default_rng(seed).permutation(n))
+    # a searched fit keeps the map that a fixed-sigma fit draws from the seed
+    train, _, uset, _ = _tiny_task(31, n_train=n)
+    result = fit_cv(train, uset, uset, 40, seed, bandwidth_grid=(1.0,),
+                    lambda_grid=(1e-3,))
+    fmap = sample_feature_map(len(uset), 40, 1.0, seed)
+    assert np.array_equal(result.model.feature_map.frequencies, fmap.frequencies)
+    assert np.array_equal(result.model.feature_map.phases, fmap.phases)
+
+
 def test_fit_cv_deterministic_and_refits_on_all_data():
     train, _, uset, _ = _tiny_task(21)
     r1 = fit_cv(train, uset, uset, feature_count=40, seed=3)
