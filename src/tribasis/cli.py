@@ -31,6 +31,7 @@ files), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -84,17 +85,25 @@ def _obs_to_json(obs: FunctionObservation) -> dict:
     return doc
 
 
-def _obs_from_json(doc, line_no: int) -> FunctionObservation:
+def _obs_from_json(doc, line_no: int, kept: list) -> FunctionObservation:
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"line {line_no}: observation must be an object")
     kind = doc.get("kind", NOISY_EVALS)
     points = doc.get("points")
     if points is None:
         raise DatasetFormatError(f"line {line_no}: observation missing 'points'")
+    # points equal to the slot's last (list, array) reuse the array: equal
+    # lists hold equal bits but for 0.0 == -0.0, and a shared grid is read-only
+    grid = points
+    if points == kept[0] and kept[1].all():
+        grid = kept[1]
+        grid.flags.writeable = False
     try:
-        return FunctionObservation(kind, points, doc.get("values"))
+        obs = FunctionObservation(kind, grid, doc.get("values"))
     except ValueError as exc:
         raise DatasetFormatError(f"line {line_no}: {exc}") from None
+    kept[:] = points, obs.points
+    return obs
 
 
 def write_dataset(pairs, path) -> None:
@@ -114,47 +123,49 @@ def ingest_dataset(path, require_output: bool = True):
     all outputs; offending lines, including invalid UTF-8 and non-finite
     numbers, are named in the error.
     """
-    pairs = []
-    in_dim = out_dim = None
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = orjson.loads(line)
-            except orjson.JSONDecodeError as exc:
-                raise DatasetFormatError(
-                    f"line {line_no}: malformed JSON ({exc.msg})"
-                ) from None
-            if not isinstance(doc, dict) or "input" not in doc:
-                raise DatasetFormatError(
-                    f"line {line_no}: each line must be an object with an "
-                    "'input' observation"
-                )
-            pin = _obs_from_json(doc["input"], line_no)
-            pout = None
-            if "output" in doc:
-                pout = _obs_from_json(doc["output"], line_no)
-            elif require_output:
-                raise DatasetFormatError(
-                    f"line {line_no}: missing 'output' observation"
-                )
-            if in_dim is None:
-                in_dim = pin.dimension
-            elif pin.dimension != in_dim:
-                raise DatasetFormatError(
-                    f"line {line_no}: input dimension {pin.dimension} differs "
-                    f"from dimension {in_dim} established earlier"
-                )
-            if pout is not None:
-                if out_dim is None:
-                    out_dim = pout.dimension
-                elif pout.dimension != out_dim:
+    pairs, dims = [], {}
+    kept_in, kept_out = [None, None], [None, None]
+    # parsed lines hold no cycles, and their nested point lists set off
+    # full collections over every live object: pause the collector
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = orjson.loads(line)
+                except orjson.JSONDecodeError as exc:
                     raise DatasetFormatError(
-                        f"line {line_no}: output dimension {pout.dimension} "
-                        f"differs from dimension {out_dim} established earlier"
+                        f"line {line_no}: malformed JSON ({exc.msg})"
+                    ) from None
+                if not isinstance(doc, dict) or "input" not in doc:
+                    raise DatasetFormatError(
+                        f"line {line_no}: each line must be an object with an "
+                        "'input' observation"
                     )
-            pairs.append((pin, pout))
+                pin = _obs_from_json(doc["input"], line_no, kept_in)
+                pout = None
+                if "output" in doc:
+                    pout = _obs_from_json(doc["output"], line_no, kept_out)
+                elif require_output:
+                    raise DatasetFormatError(
+                        f"line {line_no}: missing 'output' observation"
+                    )
+                for slot, obs in (("input", pin), ("output", pout)):
+                    if obs is None:
+                        continue
+                    first = dims.setdefault(slot, obs.dimension)
+                    if obs.dimension != first:
+                        raise DatasetFormatError(
+                            f"line {line_no}: {slot} dimension {obs.dimension} "
+                            f"differs from dimension {first} established earlier"
+                        )
+                pairs.append((pin, pout))
+    finally:
+        if gc_enabled:
+            gc.enable()
     if not pairs:
         raise DatasetFormatError(f"empty dataset: {path}")
     return pairs
@@ -564,7 +575,9 @@ def _split_pairs(pairs, config: BenchmarkConfig):
         raise ValueError("dataset too small to split into train and test")
     if config.ordered_split:
         return pairs[: n - n_test], pairs[n - n_test :]
-    order = np.random.default_rng(config.seed).permutation(n)
+    # neither the feature maps' root stream nor holdout_split's child 0
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    order = rng.permutation(n)
     train = [pairs[i] for i in order[: n - n_test]]
     test = [pairs[i] for i in order[n - n_test :]]
     return train, test

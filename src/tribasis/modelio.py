@@ -181,11 +181,12 @@ def save_model(model, destination) -> None:
         })
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    # json.dumps runs the C encoder; json.dump, the Python one, to the same text
     if hasattr(destination, "write"):
-        json.dump(doc, destination)
+        destination.write(json.dumps(doc))
     else:
         with open(destination, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))
 
 
 def load_model(source):

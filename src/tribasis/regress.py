@@ -291,7 +291,16 @@ class CvResult:
     grid: list = field(default_factory=list)
 
 
-def _primal_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
+def _solve_or_nan(summary, ridge_lambda, failures):
+    """``solve``, or NaNs once its IllConditionedError is kept in ``failures``."""
+    try:
+        return solve(summary, ridge_lambda)
+    except IllConditionedError as exc:
+        failures.append(exc)
+        return np.full(summary.cross.shape, np.nan)
+
+
+def _primal_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid, failures):
     """Held-out MSE table (maps, penalties) and each map's fitting summary
     from two passes over row blocks: one accumulates, one scores."""
     d, r, n_lam = fmaps[0].feature_count, outputs.shape[1], len(lambda_grid)
@@ -303,7 +312,8 @@ def _primal_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
             cross += z.T @ outputs[rows]
     summaries = [TrainingSummary(g, c, len(fit_idx)) for g, c in zip(grams, crosses)]
     # each map's solutions side by side, so one product scores every penalty
-    psis = [np.hstack([solve(t, lam) for lam in lambda_grid]) for t in summaries]
+    psis = [np.hstack([_solve_or_nan(t, lam, failures) for lam in lambda_grid])
+            for t in summaries]
     sse = np.zeros((len(fmaps), n_lam))
     for start in range(0, len(val_idx), _CV_ROWS):
         rows = val_idx[start:start + _CV_ROWS]
@@ -313,7 +323,7 @@ def _primal_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
     return sse / len(val_idx), summaries
 
 
-def _dual_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
+def _dual_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid, failures):
     """``_primal_search`` for fewer fitting rows than features, in the dual."""
     mse = np.zeros((len(fmaps), len(lambda_grid)))
     x_fit, y_fit = inputs[fit_idx], outputs[fit_idx]
@@ -325,7 +335,7 @@ def _dual_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid):
             if lam > 0:
                 psi = z_fit.T @ solve(kernel, lam)
             else:
-                psi = solve(accumulate(x_fit, y_fit, fmap), lam)
+                psi = _solve_or_nan(accumulate(x_fit, y_fit, fmap), lam, failures)
             resid = z_val @ psi - outputs[val_idx]
             mse[k, j] = (resid * resid).sum() / len(val_idx)
     return mse, None
@@ -351,7 +361,7 @@ def fit_cv(
     directly. The refit adds the held-out rows' normal equations to the
     search's. With fewer, positive penalties are solved in the dual and
     the refit is ``fit``'s. The log keeps the caller's order and its first
-    tie, searching a repeat once.
+    tie, searching a repeat once; an ill-conditioned point scores inf.
     """
     dataset = list(dataset)
     if len(dataset) < 2:
@@ -364,7 +374,12 @@ def fit_cv(
              for bw in sigmas]
     primal = len(fit_idx) >= feature_count
     search = _primal_search if primal else _dual_search
-    mse, summaries = search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid)
+    failures = []
+    mse, summaries = search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid,
+                            failures)
+    if len(failures) == mse.size:
+        raise failures[0]
+    mse[np.isnan(mse)] = np.inf
 
     rows = [sigmas.index(bw) for bw in bandwidth_grid]
     table = mse[rows]  # the caller's order, so argmin keeps its first tie

@@ -131,3 +131,11 @@ def ingest_dataset_reference(path, require_output=True):
                 ))
             pairs.append(tuple(sides))
     return pairs
+
+
+def write_json_reference(doc, path):
+    """``doc`` written by ``json.dump``, which streams through the standard
+    library's pure-Python encoder: the reference for the bytes of
+    ``modelio.save_model``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)

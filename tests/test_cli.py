@@ -1,7 +1,12 @@
 """Dataset ingestion, series windowing, the benchmark harness, and the
 command-line surface."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -24,6 +29,8 @@ from tribasis import (
     project,
     sample_feature_map,
 )
+from tribasis import cli
+from tribasis.basis import holdout_split
 from tribasis.cli import (
     BenchmarkConfig,
     DatasetFormatError,
@@ -223,6 +230,150 @@ def test_ingest_matches_stdlib_reference(tmp_path):
     for path, require_output in ((synth, True), (windows, True), (loose, False)):
         _assert_same_pairs(ingest_dataset_reference(path, require_output),
                            ingest_dataset(path, require_output))
+
+
+def _grid_line(points_in, points_out, kind="noisy-evaluations", values_in=None):
+    """One dataset line, written by the standard library, with the given
+    grids and arbitrary finite values."""
+    def obs(points, values=None):
+        doc = {"kind": kind, "points": points}
+        if kind == "noisy-evaluations":
+            doc["values"] = values if values is not None else [
+                0.25 * i - 1.0 for i in range(len(points))]
+        return doc
+    return json.dumps({"input": obs(points_in, values_in), "output": obs(points_out)})
+
+
+def _grid_files():
+    window = [[(i + 0.5) / 8] for i in range(8)]
+    other = [[0.9 - 0.1 * i] for i in range(8)]
+    flat = [0.2, 0.4, 0.6, 0.8]
+    zero, signed = [[0.0], [0.5], [1.0]], [[-0.0], [0.5], [1.0]]
+    rng = np.random.default_rng(17)
+    return {
+        "window": [_grid_line(window, window) for _ in range(5)],
+        "alternating": [_grid_line(*((window, other) if i % 2 else (other, window)))
+                        for i in range(6)] + [_grid_line(flat, flat)] * 3,
+        # equal as lists, not as bits
+        "signed zero": [_grid_line(zero, signed), _grid_line(signed, zero),
+                        _grid_line(zero, signed), _grid_line(signed, signed)],
+        "density": [_grid_line(*rng.uniform(size=(2, 6, 2)).tolist(),
+                               kind="density-sample") for _ in range(3)]
+                   + [_grid_line(*[rng.uniform(size=(6, 2)).tolist()] * 2,
+                                 kind="density-sample")] * 3,
+    }
+
+
+@pytest.mark.parametrize("name", list(_grid_files()))
+def test_ingest_reused_grids_match_stdlib_reference(tmp_path, name):
+    path = tmp_path / "grids.jsonl"
+    path.write_text("\n".join(_grid_files()[name]) + "\n")
+    _assert_same_pairs(ingest_dataset_reference(path), ingest_dataset(path))
+
+
+def test_window_file_shares_one_read_only_grid(tmp_path):
+    series = tmp_path / "series.txt"
+    np.savetxt(series, np.cos(np.arange(300) / 9.0))
+    windows = tmp_path / "win.jsonl"
+    assert main(["window", "--series", str(series), "--out", str(windows),
+                 "--window", "25"]) == 0
+    pairs = ingest_dataset(windows)
+    assert len(pairs) == 11
+    for slot in (0, 1):
+        grid = pairs[0][slot].points
+        assert all(pair[slot].points is grid for pair in pairs)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0.5
+
+
+def test_bad_values_on_a_reused_grid_name_the_line(tmp_path):
+    grid = [[0.25], [0.5], [0.75]]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([_grid_line(grid, grid), _grid_line(grid, grid),
+                               _grid_line(grid, grid, values_in=[1.0, 2.0])]) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"^line 3: 2 values for 3 points"):
+        ingest_dataset(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_ingest_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled):
+    good = tmp_path / "good.jsonl"
+    good.write_text(_one_point_line() + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_one_point_line() + "\n{not json\n")
+    seen = []
+    build = cli.FunctionObservation
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return build(*args)
+
+    monkeypatch.setattr(cli, "FunctionObservation", recording)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(ingest_dataset(good)) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(DatasetFormatError, match="^line 2"):
+            ingest_dataset(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False] * 4
+
+
+def test_bench_split_draws_its_own_stream():
+    n, seed = 120, 11
+    train, test = cli._split_pairs(list(range(n)), BenchmarkConfig(seed=seed))
+    order = np.array(train + test)
+    assert (len(train), len(test)) == (96, 24)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    # neither the feature maps' root stream nor the search split's child 0
+    assert not np.array_equal(order, np.random.default_rng(seed).permutation(n))
+    assert not np.array_equal(order, np.concatenate(holdout_split(n, seed)))
+    child = np.random.SeedSequence(seed).spawn(2)[1]
+    assert np.array_equal(order, np.random.default_rng(child).permutation(n))
+
+
+_IMPORT_PROBE = """
+import builtins, json, sys
+for name in sys.argv[1:]:
+    __import__(name)
+preloaded = set(sys.modules)
+direct, real_import = set(), builtins.__import__
+
+def spy(name, globals=None, locals=None, fromlist=(), level=0):
+    if level == 0 and (globals or {}).get("__name__", "").startswith("tribasis"):
+        direct.add(name.partition(".")[0])
+    return real_import(name, globals, locals, fromlist, level)
+
+builtins.__import__ = spy
+import tribasis.cli
+def tops(names):
+    return sorted({m.partition(".")[0] for m in names} - set(sys.stdlib_module_names))
+print(json.dumps({"direct": tops(direct), "added": tops(set(sys.modules) - preloaded)}))
+"""
+
+
+def test_cli_import_reaches_outside_the_stdlib_only_for_its_dependencies():
+    # import time counts in every command's wall time: tribasis itself
+    # imports only numpy, scipy and orjson beyond the standard library, and
+    # loads no non-stdlib package that those three do not load themselves
+    # (numpy's f2py, which scipy imports, brings charset_normalizer)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def probe(*preload):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *preload],
+                             env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    bare, preloaded = probe(), probe("numpy", "scipy.linalg", "orjson")
+    assert bare["direct"] == ["numpy", "orjson", "scipy"]
+    assert {"numpy", "orjson", "scipy", "tribasis"} <= set(bare["added"])
+    assert preloaded["added"] == ["tribasis"]
 
 
 def test_read_series_errors(tmp_path):

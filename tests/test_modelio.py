@@ -1,12 +1,13 @@
 """Model files: bit-exact round trips and distinct failure modes."""
 
+import io
 import json
 import re
 
 import numpy as np
 import pytest
 
-from helpers import identity_task
+from helpers import identity_task, write_json_reference
 from tribasis import (
     ModelDimensionError,
     ModelFormatError,
@@ -217,3 +218,17 @@ def test_out_of_range_scalar_field(fitted, tmp_path, capsys, kind, field, value)
             "--out", str(tmp_path / "preds.jsonl")]
     assert main(argv) == 1
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["triple-basis", "linear-smoother"])
+def test_saved_bytes_equal_the_stdlib_streaming_writer(fitted, tmp_path, kind):
+    model, smoother, _ = fitted
+    path, stream = tmp_path / "model.json", io.StringIO()
+    save_model(model if kind == "triple-basis" else smoother, path)
+    save_model(model if kind == "triple-basis" else smoother, stream)
+    # floats are written with their shortest repr, so the file reads back
+    # to the document it was written from
+    write_json_reference(json.loads(path.read_text()), tmp_path / "reference.json")
+    expected = (tmp_path / "reference.json").read_bytes()
+    assert path.read_bytes() == expected
+    assert stream.getvalue().encode() == expected

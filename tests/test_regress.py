@@ -579,3 +579,21 @@ def test_borderline_conditioning_uses_pivoted_fallback():
     psi = solve(summary, 0.0)
     residual = gram @ psi - cross
     assert np.linalg.norm(residual) < 1e-5 * np.linalg.norm(cross)
+
+
+@pytest.mark.parametrize(
+    "n_train, bandwidths", [(40, regress.SIGMA_GRID), (200, (4.0,))],
+    ids=["dual", "primal"],
+)
+def test_fit_cv_scores_an_ill_conditioned_penalty_inf(n_train, bandwidths):
+    # lambda = 0 on a rank-deficient Gram: the dual case has fewer fitting
+    # rows than features, the primal case features too smooth to span D = 80
+    train, _, uset, _ = _tiny_task(31, n_train=n_train)
+    result = fit_cv(train, uset, uset, 80, 3, bandwidth_grid=bandwidths,
+                    lambda_grid=(0.0, 1e-3))
+    assert result.ridge_lambda == 1e-3
+    assert np.isfinite(result.validation_mse)
+    assert [g["mse"] for g in result.grid if g["ridge_lambda"] == 0.0] == (
+        [np.inf] * len(bandwidths))
+    with pytest.raises(IllConditionedError):
+        fit_cv(train, uset, uset, 80, 3, bandwidth_grid=bandwidths, lambda_grid=(0.0,))
