@@ -684,6 +684,17 @@ def _config_doc(config: BenchmarkConfig) -> dict:
 # CLI plumbing
 
 
+def _finite(text: str) -> float:
+    """argparse type of the hyperparameter flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, found {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tribasis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -696,15 +707,15 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["triple-basis", "linear-smoother"],
     )
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--sigma", type=float, default=None,
+    p_fit.add_argument("--sigma", type=_finite, default=None,
                        help="fix the feature bandwidth (skips its grid search)")
-    p_fit.add_argument("--lambda", dest="ridge_lambda", type=float, default=None,
+    p_fit.add_argument("--lambda", dest="ridge_lambda", type=_finite, default=None,
                        help="fix the ridge penalty (skips its grid search)")
     p_fit.add_argument("--features", type=int, default=None, metavar="D")
-    p_fit.add_argument("--radius-in", type=float, default=None)
-    p_fit.add_argument("--radius-out", type=float, default=None)
+    p_fit.add_argument("--radius-in", type=_finite, default=None)
+    p_fit.add_argument("--radius-out", type=_finite, default=None)
     p_fit.add_argument("--folds", type=int, default=5)
-    p_fit.add_argument("--bandwidth", type=float, default=None,
+    p_fit.add_argument("--bandwidth", type=_finite, default=None,
                        help="fix the smoother bandwidth (linear-smoother only)")
 
     p_pred = sub.add_parser("predict", help="predict output coefficients")
@@ -736,10 +747,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--anchors", type=int, default=25)
     p_bench.add_argument("--map-sigma", type=float, default=1.0)
     p_bench.add_argument("--features", type=int, default=None, metavar="D")
-    p_bench.add_argument("--sigma", type=float, default=None)
-    p_bench.add_argument("--lambda", dest="ridge_lambda", type=float, default=None)
-    p_bench.add_argument("--radius-in", type=float, default=None)
-    p_bench.add_argument("--radius-out", type=float, default=None)
+    p_bench.add_argument("--sigma", type=_finite, default=None)
+    p_bench.add_argument("--lambda", dest="ridge_lambda", type=_finite, default=None)
+    p_bench.add_argument("--radius-in", type=_finite, default=None)
+    p_bench.add_argument("--radius-out", type=_finite, default=None)
     p_bench.add_argument("--folds", type=int, default=5)
     p_bench.add_argument("--model", default=None,
                          help="save the fitted triple-basis model here")

@@ -33,30 +33,23 @@ class ModelDimensionError(ModelFormatError):
     """Internally inconsistent dimensions in a model file."""
 
 
-def _matrix(doc, key, rows, cols) -> np.ndarray:
-    raw = doc.get(key)
-    if not isinstance(raw, list) or len(raw) != rows:
-        raise ModelDimensionError(
-            f"field {key!r} must hold {rows} rows, found "
-            f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
-        )
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ModelDimensionError(
-                f"field {key!r} row {i} has length "
-                f"{len(row) if isinstance(row, list) else 'non-list'}, "
-                f"expected {cols}"
-            )
-    return np.asarray(raw, dtype=float).reshape(rows, cols)
-
-
-def _vector(doc, key, length) -> np.ndarray:
-    raw = doc.get(key)
-    if not isinstance(raw, list) or len(raw) != length:
-        raise ModelDimensionError(
-            f"field {key!r} must hold {length} entries"
-        )
-    return np.asarray(raw, dtype=float)
+def _array(doc, key, shape, kind=float) -> np.ndarray:
+    """``doc[key]`` as an array of ``shape``, where a None axis takes any
+    non-zero length, holding finite numbers, or integers when ``kind`` is
+    int. Otherwise raises ModelDimensionError naming the field."""
+    raw = _require(doc, key)
+    try:
+        arr = np.array(raw)
+    except ValueError:  # ragged nesting, reported as a shape mismatch
+        arr = np.array(None)
+    expected = "x".join("n" if n is None else str(n) for n in shape)
+    if arr.ndim != len(shape) or any(m == 0 if n is None else m != n
+                                     for n, m in zip(shape, arr.shape)):
+        raise ModelDimensionError(f"field {key!r} must be a {expected} array")
+    if arr.dtype.kind not in ("iu" if kind is int else "iuf") or not np.isfinite(arr).all():
+        found = "integers" if kind is int else "finite numbers"
+        raise ModelDimensionError(f"field {key!r} must hold {found} only")
+    return arr.astype(kind, copy=False)
 
 
 def _require(doc, key, where=""):
@@ -84,18 +77,9 @@ def _scalar(doc, key, kind, low, where="", strict=False):
 
 
 def _index_set(doc, key, dimension, rule_key) -> BasisIndexSet:
-    raw = _require(doc, key)
-    if not isinstance(raw, list) or not raw:
-        raise ModelDimensionError(f"field {key!r} must be a non-empty index list")
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dimension:
-            raise ModelDimensionError(
-                f"field {key!r} index {i} does not have dimension {dimension}"
-            )
+    indices = _array(doc, key, (None, dimension), int)
     try:
-        return BasisIndexSet(
-            dimension, np.asarray(raw), rule=doc.get(rule_key, "explicit")
-        )
+        return BasisIndexSet(dimension, indices, rule=doc.get(rule_key, "explicit"))
     except ValueError as exc:
         raise ModelDimensionError(f"field {key!r}: {exc}") from None
 
@@ -215,15 +199,15 @@ def load_model(source):
                 input_dim=s,
                 feature_count=size,
                 bandwidth=_scalar(doc, "sigma", float, 0.0, strict=True),
-                frequencies=_matrix(doc, "frequencies", size, s),
-                phases=_vector(doc, "phases", size),
+                frequencies=_array(doc, "frequencies", (size, s)),
+                phases=_array(doc, "phases", (size,)),
                 seed=_scalar(doc, "seed", int, 0),
             )
             return TripleBasisModel(
                 input_index_set=input_set,
                 output_index_set=output_set,
                 feature_map=fmap,
-                psi=_matrix(doc, "psi", size, r),
+                psi=_array(doc, "psi", (size, r)),
                 ridge_lambda=_scalar(doc, "lambda", float, 0.0),
                 basis_tag=str(_require(doc, "basis_tag")),
                 training_count=_scalar(doc, "training_count", int, 0),
@@ -231,8 +215,8 @@ def load_model(source):
         return LinearSmootherModel(
             input_index_set=input_set,
             output_index_set=output_set,
-            train_inputs=_matrix(doc, "train_inputs", size, s),
-            train_outputs=_matrix(doc, "train_outputs", size, r),
+            train_inputs=_array(doc, "train_inputs", (size, s)),
+            train_outputs=_array(doc, "train_outputs", (size, r)),
             bandwidth=_scalar(doc, "bandwidth", float, 0.0, strict=True),
             kernel_tag=str(doc.get("kernel_tag", "epanechnikov")),
         )

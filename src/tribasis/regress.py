@@ -3,18 +3,18 @@ input projection coefficients to output projection coefficients.
 
 Training accumulates the feature Gram matrix and the feature/target cross
 product, so memory stays O(D^2 + D*r) no matter how many instances are
-seen, and shards built independently merge by entrywise addition. With a
-positive ridge penalty and fewer training pairs N than features D, ``fit``
-and ``fit_cv`` solve the equivalent N x N dual system instead,
-psi = Z^T (Z Z^T + lambda I)^-1 Y, whose O(N*D) memory is below the
-Gram's O(D^2); ``accumulate`` and ``TrainingSummary.merge`` stay primal.
-The linear system is solved by a symmetric positive-definite factorization
-(ridge) or, for the plain least-squares case, a condition-guarded
-factorization with a pivoted symmetric fallback; an explicit inverse is
-never formed.
+seen, and shards built independently merge by entrywise addition. With
+fewer training pairs N than features D, ``fit`` and ``fit_cv`` solve the
+equivalent N x N dual system instead, psi = Z^T (Z Z^T + lambda I)^-1 Y,
+whose O(N*D) memory is below the Gram's O(D^2); ``accumulate`` and
+``TrainingSummary.merge`` stay primal. Every system is solved by one
+in-place Cholesky factorization, condition-checked for plain least
+squares, with a symmetric indefinite fallback for a positive penalty
+below the Gram's round-off; an explicit inverse is never formed.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import linalg as sla
@@ -39,7 +39,7 @@ from .features import (
 
 DEFAULT_MAX_CONDITION = 1e12
 _BATCH_ROWS = 4096
-_CV_ROWS = 256  # rows per block of fit_cv's streamed primal search
+_CV_ROWS = 256  # rows per block of fit_cv's streamed search
 # default hyperparameter grids of the triple-basis search
 SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 LAMBDA_GRID = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -47,7 +47,7 @@ LAMBDA_GRID = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_RADII = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)
 
 
-class IllConditionedError(RuntimeError):
+class IllConditionedError(ValueError):
     """Raised when a plain least-squares solve meets a numerically singular
     Gram matrix; carries the condition estimate."""
 
@@ -99,6 +99,21 @@ class TrainingSummary:
         )
 
 
+def _summaries(inputs, outputs, fmaps, rows) -> list:
+    """One TrainingSummary per map of ``fmaps`` (maps of one shape) over
+    coefficient rows ``inputs`` (N, s) and ``outputs`` (N, r). Each block
+    of ``rows`` rows goes through one ``feature_ladder`` call and adds to
+    every map's normal equations, in row order."""
+    d, r = fmaps[0].feature_count, outputs.shape[1]
+    grams, crosses = np.zeros((len(fmaps), d, d)), np.zeros((len(fmaps), d, r))
+    for start in range(0, len(inputs), rows):
+        x, y = inputs[start:start + rows], outputs[start:start + rows]
+        for gram, cross, z in zip(grams, crosses, feature_ladder(fmaps, x)):
+            gram += z.T @ z
+            cross += z.T @ y
+    return [TrainingSummary(g, c, len(inputs)) for g, c in zip(grams, crosses)]
+
+
 def accumulate(inputs, outputs, fmap: RksFeatureMap) -> TrainingSummary:
     """Normal-equation blocks of coefficient rows: ``inputs`` (N, s) and
     ``outputs`` (N, r) hold one training pair per row. Features are built
@@ -109,15 +124,7 @@ def accumulate(inputs, outputs, fmap: RksFeatureMap) -> TrainingSummary:
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim != 2 or outputs.shape[0] != len(inputs):
         raise ValueError(f"outputs {outputs.shape} need one row per input row")
-    n = inputs.shape[0]
-    gram = np.zeros((fmap.feature_count, fmap.feature_count))
-    cross = np.zeros((fmap.feature_count, outputs.shape[1]))
-    for start in range(0, n, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, n)
-        z = compute_features_batch(fmap, inputs[start:stop])
-        gram += z.T @ z
-        cross += z.T @ outputs[start:stop]
-    return TrainingSummary(gram, cross, n)
+    return _summaries(inputs, outputs, [fmap], _BATCH_ROWS)[0]
 
 
 def _shift_into(lhs: np.ndarray, gram: np.ndarray, ridge_lambda: float) -> None:
@@ -130,46 +137,36 @@ def _shift_into(lhs: np.ndarray, gram: np.ndarray, ridge_lambda: float) -> None:
 def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
     """Solve (gram + lambda * I) psi = cross for the coefficient matrix.
 
-    lambda = 0 is ordinary least squares and requires the Gram matrix to be
-    numerically non-singular; a condition estimate past
-    ``DEFAULT_MAX_CONDITION`` raises IllConditionedError. Borderline
-    ridgeless systems fall back to a pivoted symmetric solve. The summary
-    is never modified, so one summary serves a whole grid of penalties.
+    One shifted, Fortran-ordered copy of the Gram is Cholesky-factored in
+    place, so the summary is never modified and one summary serves a whole
+    grid of penalties. lambda = 0 is ordinary least squares: a failed
+    factorization, or a ``dpocon`` condition estimate past
+    ``DEFAULT_MAX_CONDITION``, raises IllConditionedError. A positive
+    penalty that fails to factor falls back to a symmetric indefinite solve.
     """
-    if ridge_lambda < 0:
-        raise ValueError("ridge penalty must be non-negative")
-    lhs = summary.gram
-    if ridge_lambda > 0:
-        # one D x D copy, Fortran-ordered so LAPACK works on it in place
-        lhs = np.empty_like(lhs, order="F")
-        _shift_into(lhs, summary.gram, ridge_lambda)
-        try:
-            factor = sla.cho_factor(
-                lhs, lower=True, overwrite_a=True, check_finite=False
-            )
-        except sla.LinAlgError:
-            # accumulated grams are positive semidefinite only up to
-            # round-off; a penalty below that noise can leave the shifted
-            # matrix numerically indefinite. The failed factorization
-            # overwrote the copy, so rebuild it for the symmetric solve.
-            _shift_into(lhs, summary.gram, ridge_lambda)
-            return sla.solve(lhs, summary.cross, assume_a="sym",
-                             overwrite_a=True, check_finite=False)
-        return sla.cho_solve(factor, summary.cross, check_finite=False)
-
+    if not 0 <= ridge_lambda < np.inf:
+        raise ValueError(
+            f"ridge penalty must be a finite number >= 0, found {ridge_lambda!r}")
+    lhs = np.empty_like(summary.gram, order="F")
+    _shift_into(lhs, summary.gram, ridge_lambda)
     try:
-        factor = sla.cho_factor(lhs, lower=True, check_finite=False)
+        factor = sla.cho_factor(lhs, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError:
-        cond = np.linalg.cond(lhs)
-        raise IllConditionedError(cond, DEFAULT_MAX_CONDITION) from None
-    anorm = np.abs(lhs).sum(axis=0).max()
-    rcond, info = sla.lapack.dpocon(factor[0], anorm, uplo="L")
-    cond = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
-    if cond > DEFAULT_MAX_CONDITION:
-        raise IllConditionedError(cond, DEFAULT_MAX_CONDITION)
-    if cond > DEFAULT_MAX_CONDITION * 1e-4:
-        # borderline: pivoted symmetric (Bunch-Kaufman) solve is sturdier
-        return sla.solve(lhs, summary.cross, assume_a="sym", check_finite=False)
+        if ridge_lambda == 0:
+            raise IllConditionedError(np.inf, DEFAULT_MAX_CONDITION) from None
+        # accumulated grams are positive semidefinite only up to round-off;
+        # a penalty below that noise can leave the shifted matrix
+        # numerically indefinite. The failed factorization overwrote the
+        # copy, so rebuild it for the symmetric solve.
+        _shift_into(lhs, summary.gram, ridge_lambda)
+        return sla.solve(lhs, summary.cross, assume_a="sym",
+                         overwrite_a=True, check_finite=False)
+    if ridge_lambda == 0:
+        anorm = np.abs(summary.gram).sum(axis=0).max()
+        rcond, info = sla.lapack.dpocon(factor[0], anorm, uplo="L")
+        cond = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
+        if cond > DEFAULT_MAX_CONDITION:
+            raise IllConditionedError(cond, DEFAULT_MAX_CONDITION)
     return sla.cho_solve(factor, summary.cross, check_finite=False)
 
 
@@ -206,16 +203,22 @@ class TripleBasisModel:
         self.psi = psi
 
 
+def _dual_psi(z: np.ndarray, outputs: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """psi = Z^T alpha from the N x N dual system (Z Z^T + lambda I) alpha = Y,
+    for features ``z`` (N, D) with N < D. The D x D Gram Z^T Z then has rank
+    at most N, so lambda = 0 is singular by construction and raises
+    IllConditionedError without forming it."""
+    if ridge_lambda == 0:
+        raise IllConditionedError(np.inf, DEFAULT_MAX_CONDITION)
+    return z.T @ solve(TrainingSummary(z @ z.T, outputs, len(z)), ridge_lambda)
+
+
 def _fit_psi(inputs: np.ndarray, outputs: np.ndarray, fmap: RksFeatureMap,
              ridge_lambda: float) -> np.ndarray:
-    """psi fitted on coefficient rows. With lambda > 0 and fewer rows than
-    features it is Z^T alpha from the N x N dual system
-    (Z Z^T + lambda I) alpha = Y; otherwise it solves the primal D x D
-    normal equations."""
-    if ridge_lambda > 0 and inputs.shape[0] < fmap.feature_count:
-        z = compute_features_batch(fmap, inputs)
-        kernel = TrainingSummary(z @ z.T, outputs, inputs.shape[0])
-        return z.T @ solve(kernel, ridge_lambda)
+    """psi fitted on coefficient rows: in the dual with fewer rows than
+    features, otherwise from the primal D x D normal equations."""
+    if inputs.shape[0] < fmap.feature_count:
+        return _dual_psi(compute_features_batch(fmap, inputs), outputs, ridge_lambda)
     return solve(accumulate(inputs, outputs, fmap), ridge_lambda)
 
 
@@ -230,9 +233,9 @@ def fit(
     model.
 
     ``dataset`` is a sequence of (input, output) FunctionObservation pairs.
-    With ``ridge_lambda`` > 0 and fewer pairs than features the N x N dual
-    system is solved; otherwise the D x D normal equations are accumulated
-    and solved.
+    With fewer pairs than features the N x N dual system is solved, and
+    ``ridge_lambda`` = 0 raises IllConditionedError; otherwise the D x D
+    normal equations are accumulated and solved.
     """
     dataset = list(dataset)
     if not dataset:
@@ -291,54 +294,14 @@ class CvResult:
     grid: list = field(default_factory=list)
 
 
-def _solve_or_nan(summary, ridge_lambda, failures):
-    """``solve``, or NaNs once its IllConditionedError is kept in ``failures``."""
+def _solve_or_nan(solver, ridge_lambda, shape, failures):
+    """``solver(ridge_lambda)``, or NaNs of ``shape`` once its
+    IllConditionedError is kept in ``failures``."""
     try:
-        return solve(summary, ridge_lambda)
+        return solver(ridge_lambda)
     except IllConditionedError as exc:
         failures.append(exc)
-        return np.full(summary.cross.shape, np.nan)
-
-
-def _primal_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid, failures):
-    """Held-out MSE table (maps, penalties) and each map's fitting summary
-    from two passes over row blocks: one accumulates, one scores."""
-    d, r, n_lam = fmaps[0].feature_count, outputs.shape[1], len(lambda_grid)
-    grams, crosses = np.zeros((len(fmaps), d, d)), np.zeros((len(fmaps), d, r))
-    for start in range(0, len(fit_idx), _CV_ROWS):
-        rows = fit_idx[start:start + _CV_ROWS]
-        for gram, cross, z in zip(grams, crosses, feature_ladder(fmaps, inputs[rows])):
-            gram += z.T @ z
-            cross += z.T @ outputs[rows]
-    summaries = [TrainingSummary(g, c, len(fit_idx)) for g, c in zip(grams, crosses)]
-    # each map's solutions side by side, so one product scores every penalty
-    psis = [np.hstack([_solve_or_nan(t, lam, failures) for lam in lambda_grid])
-            for t in summaries]
-    sse = np.zeros((len(fmaps), n_lam))
-    for start in range(0, len(val_idx), _CV_ROWS):
-        rows = val_idx[start:start + _CV_ROWS]
-        for k, z in enumerate(feature_ladder(fmaps, inputs[rows])):
-            resid = (z @ psis[k]).reshape(len(rows), n_lam, r) - outputs[rows][:, None]
-            sse[k] += (resid * resid).sum(axis=(0, 2))
-    return sse / len(val_idx), summaries
-
-
-def _dual_search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid, failures):
-    """``_primal_search`` for fewer fitting rows than features, in the dual."""
-    mse = np.zeros((len(fmaps), len(lambda_grid)))
-    x_fit, y_fit = inputs[fit_idx], outputs[fit_idx]
-    for k, fmap in enumerate(fmaps):
-        z_fit = compute_features_batch(fmap, x_fit)
-        z_val = compute_features_batch(fmap, inputs[val_idx])
-        kernel = TrainingSummary(z_fit @ z_fit.T, y_fit, len(fit_idx))
-        for j, lam in enumerate(lambda_grid):
-            if lam > 0:
-                psi = z_fit.T @ solve(kernel, lam)
-            else:
-                psi = _solve_or_nan(accumulate(x_fit, y_fit, fmap), lam, failures)
-            resid = z_val @ psi - outputs[val_idx]
-            mse[k, j] = (resid * resid).sum() / len(val_idx)
-    return mse, None
+        return np.full(shape, np.nan)
 
 
 def fit_cv(
@@ -354,14 +317,16 @@ def fit_cv(
     (``holdout_split``), scored by held-out output-coefficient mean squared
     error, then refit on all data.
 
-    With at least as many fitting rows as features, row blocks stream
-    through ``feature_ladder``. Its maps share normals scaled by powers of
-    two, so on a grid of exact halvings (the default) one sine and cosine
-    pass serves every bandwidth; one in no halving chain is evaluated
-    directly. The refit adds the held-out rows' normal equations to the
-    search's. With fewer, positive penalties are solved in the dual and
-    the refit is ``fit``'s. The log keeps the caller's order and its first
-    tie, searching a repeat once; an ill-conditioned point scores inf.
+    Both sides stream coefficient rows through ``feature_ladder``. Its maps
+    share normals scaled by powers of two, so on a grid of exact halvings
+    (the default) one sine and cosine pass serves every bandwidth; one in
+    no halving chain is evaluated directly. With at least as many fitting
+    rows as features, each map's penalties are solved from one streamed
+    pass of normal equations, and the refit adds the held-out rows' to
+    them. With fewer, they are solved in the dual and the refit is
+    ``fit``'s. One pass over the held-out rows scores every grid point.
+    The log keeps the caller's order and its first tie, searching a repeat
+    once; an ill-conditioned point scores inf.
     """
     dataset = list(dataset)
     if len(dataset) < 2:
@@ -372,13 +337,27 @@ def fit_cv(
     sigmas = list(dict.fromkeys(bandwidth_grid))
     fmaps = [sample_feature_map(inputs.shape[1], feature_count, bw, seed)
              for bw in sigmas]
+    x_fit, y_fit = inputs[fit_idx], outputs[fit_idx]
     primal = len(fit_idx) >= feature_count
-    search = _primal_search if primal else _dual_search
+    if primal:
+        summaries = _summaries(x_fit, y_fit, fmaps, _CV_ROWS)
+        solvers = [partial(solve, t) for t in summaries]
+    else:
+        solvers = [partial(_dual_psi, z, y_fit) for z in feature_ladder(fmaps, x_fit)]
+    r, n_lam = outputs.shape[1], len(lambda_grid)
     failures = []
-    mse, summaries = search(inputs, outputs, fit_idx, val_idx, fmaps, lambda_grid,
-                            failures)
-    if len(failures) == mse.size:
+    # each map's solutions side by side, so one product scores every penalty
+    psis = [np.hstack([_solve_or_nan(f, lam, (feature_count, r), failures)
+                       for lam in lambda_grid]) for f in solvers]
+    if len(failures) == len(fmaps) * n_lam:
         raise failures[0]
+    sse = np.zeros((len(fmaps), n_lam))
+    for start in range(0, len(val_idx), _CV_ROWS):
+        block = val_idx[start:start + _CV_ROWS]
+        for k, z in enumerate(feature_ladder(fmaps, inputs[block])):
+            resid = (z @ psis[k]).reshape(len(block), n_lam, r) - outputs[block][:, None]
+            sse[k] += (resid * resid).sum(axis=(0, 2))
+    mse = sse / len(val_idx)
     mse[np.isnan(mse)] = np.inf
 
     rows = [sigmas.index(bw) for bw in bandwidth_grid]

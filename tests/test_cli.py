@@ -849,6 +849,33 @@ def test_cli_rejects_out_of_range_flags(tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    # 10 pairs against D = 60 features: lambda = 0 is singular by construction
+    ("fit", ["--sigma", "0.3", "--lambda", "0"], "condition estimate inf"),
+    ("fit", ["--lambda", "0"], "condition estimate inf"),
+    ("fit", ["--sigma", "0.3", "--lambda", "nan"], "argument --lambda: expected a finite"),
+    ("fit", ["--sigma", "0.3", "--lambda", "inf"], "argument --lambda: expected a finite"),
+    ("fit", ["--sigma=-inf", "--lambda", "0.1"], "argument --sigma: expected a finite"),
+    ("fit", ["--radius-in", "nan"], "argument --radius-in: expected a finite"),
+    ("fit", ["--radius-out", "inf"], "argument --radius-out: expected a finite"),
+    ("fit", ["--method", "linear-smoother", "--bandwidth", "nan"],
+     "argument --bandwidth: expected a finite"),
+    ("bench", ["--lambda", "inf"], "argument --lambda: expected a finite"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_rejects_bad_penalties_and_non_finite_flags(tmp_path, capsys, command,
+                                                         flags, message):
+    data = tmp_path / "data.jsonl"
+    write_dataset(_small_dataset(n_pairs=10, n_points=20), data)
+    model = tmp_path / "m.json"
+    base = {"fit": ["fit", "--data", str(data), "--model", str(model)],
+            "bench": ["bench", "--report", str(tmp_path / "r.json"),
+                      "--methods", "triple-basis", "--train-count", "10",
+                      "--test-count", "5", "--points", "20"]}[command]
+    assert main(base + ["--radius-in", "2", "--radius-out", "2"] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_constant_series_fit_predicts_constant(tmp_path):
     pairs, _ = window_series(np.full(512, 3.25), SeriesWindowing(window_length=32))
     from tribasis import enumerate_ball as _ball, fit as _fit, predict_coeffs

@@ -220,6 +220,45 @@ def test_out_of_range_scalar_field(fitted, tmp_path, capsys, kind, field, value)
     assert name in capsys.readouterr().err
 
 
+# (kind, path to one array entry, value): a wrong type, a null or an
+# integer too large for an index
+BAD_ARRAY_ENTRIES = [
+    ("triple-basis", ("psi", 0, 0), {}),
+    ("triple-basis", ("psi", 0, 0), None),
+    ("triple-basis", ("phases", 0), {}),
+    ("triple-basis", ("frequencies", 0, 0), "0.5"),
+    ("triple-basis", ("input_indices", 0, 0), None),
+    ("triple-basis", ("input_indices", 0, 0), "x"),
+    ("triple-basis", ("output_indices", 0, 0), 10**30),
+    ("linear-smoother", ("train_outputs", 0, 0), None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, entry, value", BAD_ARRAY_ENTRIES,
+    ids=[f"{k}-{'.'.join(map(str, e))}={v!r}" for k, e, v in BAD_ARRAY_ENTRIES],
+)
+def test_wrong_typed_array_entry(fitted, tmp_path, capsys, kind, entry, value):
+    model, smoother, test = fitted
+    path = tmp_path / "model.json"
+    save_model(model if kind == "triple-basis" else smoother, path)
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in entry[:-1]:
+        target = target[key]
+    target[entry[-1]] = value
+    path.write_text(json.dumps(doc))
+    name = repr(entry[0])
+    with pytest.raises(ModelDimensionError, match=re.escape(name)):
+        load_model(path)
+    data = tmp_path / "data.jsonl"
+    write_dataset(test, data)
+    argv = ["predict", "--model", str(path), "--data", str(data),
+            "--out", str(tmp_path / "preds.jsonl")]
+    assert main(argv) == 1
+    assert name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["triple-basis", "linear-smoother"])
 def test_saved_bytes_equal_the_stdlib_streaming_writer(fitted, tmp_path, kind):
     model, smoother, _ = fitted

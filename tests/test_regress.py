@@ -149,10 +149,15 @@ def test_ridge_continuity_and_monotone_shrinkage():
     assert all(x > y for x, y in zip(frob, frob[1:]))
 
 
-def test_singular_gram_raises_named_condition():
+def test_singular_gram_raises_named_condition(monkeypatch):
     z = np.ones((30, 5))  # rank one
     a = np.ones((30, 2))
     summary = TrainingSummary(z.T @ z, z.T @ a, 30)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a failed factorization ran an SVD condition number")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
     with pytest.raises(IllConditionedError) as err:
         solve(summary, 0.0)
     assert err.value.condition_estimate > 1e12
@@ -224,6 +229,14 @@ def test_negative_ridge_rejected():
     summary = TrainingSummary(np.zeros((3, 3)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         solve(summary, -1.0)
+
+
+@pytest.mark.parametrize("ridge_lambda", [np.nan, np.inf])
+def test_non_finite_ridge_rejected(ridge_lambda):
+    # NaN fails both "< 0" and "> 0"; it must not be solved as lambda = 0
+    summary = TrainingSummary(np.eye(3), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        solve(summary, ridge_lambda)
 
 
 # --------------------------------------------------------------------------
@@ -304,16 +317,17 @@ def _dual_task(seed, n_train=30, feature_count=80):
     return train, uset, fmap, inputs, outputs
 
 
+def _no_gram(*args):
+    raise AssertionError("the D x D Gram was accumulated")
+
+
 def test_fit_dual_matches_primal_and_augmented_lstsq(monkeypatch):
     train, uset, fmap, inputs, outputs = _dual_task(22)
     z = compute_features_batch(fmap, inputs)
     n, d = z.shape
     primal = TrainingSummary(z.T @ z, z.T @ outputs, n)
 
-    def no_gram(*args):
-        raise AssertionError("the D x D Gram was accumulated")
-
-    monkeypatch.setattr(regress, "accumulate", no_gram)
+    monkeypatch.setattr(regress, "accumulate", _no_gram)
     for lam in (1e-4, 1e-2, 1.0):
         psi = fit(train, uset, uset, fmap, lam).psi
         reference = solve(primal, lam)
@@ -326,10 +340,24 @@ def test_fit_dual_matches_primal_and_augmented_lstsq(monkeypatch):
         assert np.linalg.norm(psi - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
-def test_fit_ridgeless_with_fewer_pairs_than_features_raises():
+def test_fit_ridgeless_with_fewer_pairs_than_features_raises(monkeypatch):
+    # the D x D Gram has rank at most N < D: singular without being formed
     train, uset, fmap, _, _ = _dual_task(23)
-    with pytest.raises(IllConditionedError):
+    monkeypatch.setattr(regress, "accumulate", _no_gram)
+    with pytest.raises(IllConditionedError) as err:
         fit(train, uset, uset, fmap, 0.0)
+    assert err.value.condition_estimate == np.inf
+
+
+def test_fit_cv_dual_search_scores_ridgeless_inf_without_a_gram(monkeypatch):
+    train, uset, _, _, _ = _dual_task(24, n_train=40)
+    monkeypatch.setattr(regress, "accumulate", _no_gram)
+    result = fit_cv(train, uset, uset, 80, 3, bandwidth_grid=(1.0, 2.0),
+                    lambda_grid=(0.0, 1e-3))
+    scores = [g["mse"] for g in result.grid]
+    assert scores[0] == scores[2] == np.inf
+    assert np.isfinite(scores[1]) and np.isfinite(scores[3])
+    assert result.ridge_lambda == 1e-3
 
 
 def test_fit_cv_dual_search_matches_primal_reference(monkeypatch):
@@ -495,9 +523,10 @@ def test_fit_cv_repeated_bandwidth(monkeypatch, n_train):
 
     monkeypatch.setattr(regress, "feature_ladder", recording_ladder)
     result = fit_cv(train, uset, uset, 60, 6, bandwidth_grid=grid, lambda_grid=lams)
-    # searched once, logged in the caller's order
-    assert all(bws == [1.0, 0.5, 2.0] for bws in ladders)
-    assert bool(ladders) == (n_train == 300)
+    # searched once, logged in the caller's order; the one-map ladder calls
+    # are accumulate's
+    search = [bws for bws in ladders if len(bws) > 1]
+    assert search and all(bws == [1.0, 0.5, 2.0] for bws in search)
     assert [g["bandwidth"] for g in result.grid] == [bw for bw in grid for _ in lams]
     scores = [g["mse"] for g in result.grid]
     assert scores[:3] == scores[6:9]
@@ -564,10 +593,9 @@ def test_fit_cv_deterministic_and_refits_on_all_data():
     assert r1.model.training_count == len(train)
 
 
-def test_borderline_conditioning_uses_pivoted_fallback():
-    # gram with condition ~1e9 sits between the Cholesky comfort zone and
-    # the hard 1e12 refusal: ridgeless solve must still return a usable
-    # solution through the pivoted symmetric path
+def test_borderline_conditioning_solves_by_cholesky():
+    # gram with condition ~1e9 sits below the hard 1e12 refusal: the
+    # ridgeless Cholesky solve must still return a usable solution
     rng = np.random.default_rng(30)
     d = 8
     eigenvalues = np.logspace(0, -9, d)
