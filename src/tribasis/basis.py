@@ -106,10 +106,16 @@ class SobolevSpec:
     def __post_init__(self):
         nu = np.atleast_1d(np.asarray(self.nu, dtype=float))
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if nu.shape != gamma.shape or nu.ndim != 1:
-            raise ValueError("nu and gamma must be 1-D sequences of equal length")
-        if np.any(nu <= 0) or np.any(gamma <= 0) or self.amplitude <= 0:
-            raise ValueError("nu, gamma and amplitude must be strictly positive")
+        if nu.shape != gamma.shape or nu.ndim != 1 or nu.size == 0:
+            raise ValueError(
+                "nu and gamma must be non-empty 1-D sequences of equal length"
+            )
+        # both comparisons are false for NaN
+        params = np.concatenate([nu, gamma, [self.amplitude]])
+        if not ((params > 0) & (params < np.inf)).all():
+            raise ValueError(
+                "nu, gamma and amplitude must be finite and strictly positive"
+            )
         nu.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "nu", nu)
@@ -165,7 +171,11 @@ class FunctionObservation:
         if self.kind == NOISY_EVALS:
             if self.values is None:
                 raise ValueError("noisy-evaluations observations need values")
-            vals = np.asarray(self.values, dtype=float).reshape(-1)
+            vals = np.asarray(self.values, dtype=float)
+            if vals.ndim != 1:
+                raise ValueError(
+                    f"values must be a 1-D list of numbers, found {vals.ndim}-D"
+                )
             if vals.shape[0] != pts.shape[0]:
                 raise ValueError(
                     f"{vals.shape[0]} values for {pts.shape[0]} points"

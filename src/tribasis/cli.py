@@ -17,7 +17,8 @@ model files keep their exact bytes, and they are small enough that parsing
 them is not a cost.
 
 `fit` and `bench` share ``resolve_index_sets`` and ``fit_estimator``;
-`synth` and `bench` share ``synthetic_task``.
+`synth` and `bench` share ``synthetic_task``. All three read their flags
+into a ``BenchmarkConfig``, whose field defaults are the flags' defaults.
 
 `eval` and `bench` score function-space MSE exactly, by Parseval: the basis
 is orthonormal, so the integrated squared error of two truncated series is
@@ -36,7 +37,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import orjson
@@ -55,8 +56,8 @@ from .basis import (
 )
 from .features import sample_feature_map
 from .modelio import load_model, save_model
-from .regress import DEFAULT_RADII, LAMBDA_GRID, SIGMA_GRID, TripleBasisModel
-from .regress import average_truncation_radius, fit, fit_cv, predict_coeffs
+from .regress import DEFAULT_FOLDS, DEFAULT_RADII, LAMBDA_GRID, SIGMA_GRID
+from .regress import TripleBasisModel, average_truncation_radius, fit, fit_cv, predict_coeffs
 from .synth import SyntheticConfig, generate_dataset, make_mapping
 
 REPORT_FORMAT_VERSION = 1
@@ -447,7 +448,9 @@ def evaluate_model(
 
 @dataclass
 class BenchmarkConfig:
-    """Everything a benchmark run needs; serialized into the report."""
+    """Everything a benchmark run needs; serialized into the report. Its
+    defaults are those of the flags of `bench` and `synth`, and of the flags
+    `fit` shares with `bench` (``_config``)."""
 
     methods: tuple = KNOWN_METHODS
     seed: int = 0
@@ -470,7 +473,7 @@ class BenchmarkConfig:
     radius_in: float | None = None
     radius_out: float | None = None
     radius_candidates: tuple = DEFAULT_RADII
-    folds: int = 5
+    folds: int = DEFAULT_FOLDS
     sigma_grid: tuple = SIGMA_GRID
     lambda_grid: tuple = LAMBDA_GRID
     fixed_sigma: float | None = None
@@ -485,25 +488,28 @@ def default_feature_count(points_per_function: int) -> int:
     return min(MAX_FEATURES, int(math.ceil(n * math.log(n))))
 
 
-def synthetic_task(seed: int, instances: int, points=100, noise=0.1, anchors=25,
-                   map_sigma=1.0, dim_in=1, dim_out=1, amplitude_in=2.0,
-                   amplitude_out=2.0):
-    """Noisy pairs through a random anchor mapping between unit-weight
-    Sobolev ellipsoids, seeded by children 0 and 1 of ``SeedSequence(seed)``.
+def synthetic_task(config: BenchmarkConfig, instances: int):
+    """``instances`` noisy pairs of the config's synthetic task, through a
+    random anchor mapping between unit-weight Sobolev ellipsoids, seeded by
+    children 0 and 1 of ``SeedSequence(config.seed)``.
 
     Returns (pairs, truth_matrix, truth_set): one row of exact output
     coefficients over truth_set per pair.
     """
     map_seed, data_seed = (
-        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.seed).spawn(2)
     )
-    input_spec = SobolevSpec(np.ones(dim_in), np.ones(dim_in), amplitude_in)
-    output_spec = SobolevSpec(np.ones(dim_out), np.ones(dim_out), amplitude_out)
-    mapping = make_mapping(
-        input_spec, output_spec, n_anchors=anchors, sigma=map_sigma, seed=map_seed
+    input_spec = SobolevSpec(
+        np.ones(config.input_dim), np.ones(config.input_dim), config.input_amplitude
     )
+    output_spec = SobolevSpec(
+        np.ones(config.output_dim), np.ones(config.output_dim), config.output_amplitude
+    )
+    mapping = make_mapping(input_spec, output_spec, n_anchors=config.anchor_count,
+                           sigma=config.map_sigma, seed=map_seed)
     pairs, _, truths = generate_dataset(
-        SyntheticConfig(input_spec, output_spec, noise, points, instances, data_seed),
+        SyntheticConfig(input_spec, output_spec, config.noise_sd,
+                        config.points_per_function, instances, data_seed),
         mapping, return_truth=True,
     )
     truth_matrix = np.vstack([t.coefficients for t in truths])
@@ -602,19 +608,10 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     # children 0 and 1 of the seed sequence seed the synthetic task
     cv_seed = int(np.random.SeedSequence(config.seed).spawn(3)[2].generate_state(1)[0])
     if config.data_path is not None:
-        pairs = ingest_dataset(config.data_path)
-        if any(q is None for _, q in pairs):
-            raise ValueError("benchmark dataset lines must carry outputs")
-        train, test = _split_pairs(pairs, config)
+        train, test = _split_pairs(ingest_dataset(config.data_path), config)
     else:
         pairs, truth_all, truth_set = synthetic_task(
-            config.seed, config.train_count + config.test_count,
-            points=config.points_per_function, noise=config.noise_sd,
-            anchors=config.anchor_count, map_sigma=config.map_sigma,
-            dim_in=config.input_dim, dim_out=config.output_dim,
-            amplitude_in=config.input_amplitude,
-            amplitude_out=config.output_amplitude,
-        )
+            config, config.train_count + config.test_count)
         train, test = pairs[: config.train_count], pairs[config.train_count :]
         truth_all = truth_all[config.train_count :]
 
@@ -662,7 +659,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         "backend": _accel.backend_name(),
         "radius_in": t_in,
         "radius_out": t_out,
-        "config": _config_doc(config),
+        "config": asdict(config),
         "records": records,
     }
     if config.report_path:
@@ -671,21 +668,12 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     return report
 
 
-def _config_doc(config: BenchmarkConfig) -> dict:
-    doc = asdict(config)
-    doc["methods"] = list(config.methods)
-    doc["radius_candidates"] = list(config.radius_candidates)
-    doc["sigma_grid"] = list(config.sigma_grid)
-    doc["lambda_grid"] = list(config.lambda_grid)
-    return doc
-
-
 # --------------------------------------------------------------------------
 # CLI plumbing
 
 
 def _finite(text: str) -> float:
-    """argparse type of the hyperparameter flags: a finite float."""
+    """argparse type of the real-valued flags: a finite float."""
     try:
         value = float(text)
     except ValueError:
@@ -695,26 +683,46 @@ def _finite(text: str) -> float:
     return value
 
 
+def _feature_count(text: str) -> int:
+    """argparse type of --features: an integer from 1 to MAX_FEATURES."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_FEATURES:
+        raise argparse.ArgumentTypeError(
+            f"feature_count must be an integer from 1 to {MAX_FEATURES}, "
+            f"found {text!r}"
+        )
+    return value
+
+
+def _methods(text: str) -> tuple:
+    """argparse type of --methods: comma-separated method names."""
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _config(args) -> BenchmarkConfig:
+    """The BenchmarkConfig of the flags on ``args``; a field whose flag was
+    left out keeps its default."""
+    names = {f.name for f in fields(BenchmarkConfig)}
+    return BenchmarkConfig(**{k: v for k, v in vars(args).items() if k in names})
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tribasis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # fit, bench and synth store their flags under BenchmarkConfig's field
+    # names and leave a flag that is not given off the namespace, so that
+    # _config takes the field's default
+    configured = {"argument_default": argparse.SUPPRESS}
 
-    p_fit = sub.add_parser("fit", help="fit a model and save it")
-    p_fit.add_argument("--data", required=True, help="JSON-lines dataset")
-    p_fit.add_argument("--model", required=True, help="output model file")
-    p_fit.add_argument(
-        "--method", default="triple-basis",
-        choices=["triple-basis", "linear-smoother"],
-    )
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--sigma", type=_finite, default=None,
-                       help="fix the feature bandwidth (skips its grid search)")
-    p_fit.add_argument("--lambda", dest="ridge_lambda", type=_finite, default=None,
-                       help="fix the ridge penalty (skips its grid search)")
-    p_fit.add_argument("--features", type=int, default=None, metavar="D")
-    p_fit.add_argument("--radius-in", type=_finite, default=None)
-    p_fit.add_argument("--radius-out", type=_finite, default=None)
-    p_fit.add_argument("--folds", type=int, default=5)
+    p_fit = sub.add_parser("fit", help="fit a model and save it", **configured)
+    p_fit.add_argument("--data", dest="data_path", required=True,
+                       help="JSON-lines dataset")
+    p_fit.add_argument("--model", dest="model_out", required=True,
+                       help="output model file")
+    p_fit.add_argument("--method", default="triple-basis", choices=KNOWN_METHODS[:2])
     p_fit.add_argument("--bandwidth", type=_finite, default=None,
                        help="fix the smoother bandwidth (linear-smoother only)")
 
@@ -731,42 +739,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--report", default=None)
 
-    p_bench = sub.add_parser("bench", help="run the benchmark harness")
-    p_bench.add_argument("--report", required=True)
-    p_bench.add_argument("--methods", default="triple-basis,linear-smoother,mean")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--data", default=None, help="JSON-lines dataset; "
+    p_bench = sub.add_parser("bench", help="run the benchmark harness", **configured)
+    p_bench.add_argument("--report", dest="report_path", required=True)
+    p_bench.add_argument("--methods", type=_methods)
+    p_bench.add_argument("--data", dest="data_path", help="JSON-lines dataset; "
                          "omit to run the synthetic task")
     p_bench.add_argument("--ordered-split", action="store_true",
                          help="hold out the tail of the dataset (for series)")
-    p_bench.add_argument("--test-fraction", type=float, default=0.2)
-    p_bench.add_argument("--train-count", type=int, default=500)
-    p_bench.add_argument("--test-count", type=int, default=100)
-    p_bench.add_argument("--points", type=int, default=100)
-    p_bench.add_argument("--noise", type=float, default=0.1)
-    p_bench.add_argument("--anchors", type=int, default=25)
-    p_bench.add_argument("--map-sigma", type=float, default=1.0)
-    p_bench.add_argument("--features", type=int, default=None, metavar="D")
-    p_bench.add_argument("--sigma", type=_finite, default=None)
-    p_bench.add_argument("--lambda", dest="ridge_lambda", type=_finite, default=None)
-    p_bench.add_argument("--radius-in", type=_finite, default=None)
-    p_bench.add_argument("--radius-out", type=_finite, default=None)
-    p_bench.add_argument("--folds", type=int, default=5)
-    p_bench.add_argument("--model", default=None,
+    p_bench.add_argument("--test-fraction", type=_finite)
+    p_bench.add_argument("--train-count", type=int)
+    p_bench.add_argument("--test-count", type=int)
+    p_bench.add_argument("--model", dest="model_out",
                          help="save the fitted triple-basis model here")
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
+    p_synth = sub.add_parser("synth", help="generate a synthetic dataset", **configured)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--instances", type=int, default=500)
-    p_synth.add_argument("--points", type=int, default=100)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--anchors", type=int, default=25)
-    p_synth.add_argument("--map-sigma", type=float, default=1.0)
-    p_synth.add_argument("--dim-in", type=int, default=1)
-    p_synth.add_argument("--dim-out", type=int, default=1)
-    p_synth.add_argument("--amplitude-in", type=float, default=2.0)
-    p_synth.add_argument("--amplitude-out", type=float, default=2.0)
+    p_synth.add_argument("--dim-in", dest="input_dim", type=int)
+    p_synth.add_argument("--dim-out", dest="output_dim", type=int)
+    p_synth.add_argument("--amplitude-in", dest="input_amplitude", type=_finite)
+    p_synth.add_argument("--amplitude-out", dest="output_amplitude", type=_finite)
+
+    for p in (p_fit, p_bench, p_synth):
+        p.add_argument("--seed", type=int)
+    for p in (p_fit, p_bench):
+        p.add_argument("--sigma", dest="fixed_sigma", type=_finite,
+                       help="fix the feature bandwidth (skips its grid search)")
+        p.add_argument("--lambda", dest="fixed_lambda", type=_finite,
+                       help="fix the ridge penalty (skips its grid search)")
+        p.add_argument("--features", dest="feature_count", type=_feature_count,
+                       metavar="D")
+        p.add_argument("--radius-in", type=_finite)
+        p.add_argument("--radius-out", type=_finite)
+        p.add_argument("--folds", type=int)
+    for p in (p_bench, p_synth):
+        p.add_argument("--points", dest="points_per_function", type=int)
+        p.add_argument("--noise", dest="noise_sd", type=_finite)
+        p.add_argument("--anchors", dest="anchor_count", type=int)
+        p.add_argument("--map-sigma", type=_finite)
 
     p_win = sub.add_parser("window", help="cut a scalar series into pairs")
     p_win.add_argument("--series", required=True, help="one value per line")
@@ -780,30 +790,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
+    config = _config(args)
     if args.method == "triple-basis":
         other = {"--bandwidth": args.bandwidth}
     else:
-        other = {"--sigma": args.sigma, "--lambda": args.ridge_lambda,
-                 "--features": args.features}
+        other = {"--sigma": config.fixed_sigma, "--lambda": config.fixed_lambda,
+                 "--features": config.feature_count}
     ignored = [flag for flag, value in other.items() if value is not None]
     if ignored:
         raise ValueError(f"{', '.join(ignored)} not used by --method {args.method}")
-    pairs = ingest_dataset(args.data)
-    if any(q is None for _, q in pairs):
-        raise ValueError("fit needs 'output' observations on every line")
+    pairs = ingest_dataset(config.data_path)
     input_set, output_set, _, _ = resolve_index_sets(
-        pairs, args.radius_in, args.radius_out, args.folds
+        pairs, config.radius_in, config.radius_out, config.folds
     )
     model, hyper, validation_mse = fit_estimator(
-        args.method, pairs, input_set, output_set, args.seed,
-        feature_count=args.features, sigma=args.sigma,
-        ridge_lambda=args.ridge_lambda, bandwidth=args.bandwidth,
+        args.method, pairs, input_set, output_set, config.seed,
+        feature_count=config.feature_count, sigma=config.fixed_sigma,
+        ridge_lambda=config.fixed_lambda, bandwidth=args.bandwidth,
     )
     if validation_mse is not None:
         chosen = " ".join(f"{name}={value:g}" for name, value in hyper.items())
         print(f"selected {chosen} (validation mse {validation_mse:.6g})")
-    save_model(model, args.model)
-    print(f"saved {args.method} model to {args.model}")
+    save_model(model, config.model_out)
+    print(f"saved {args.method} model to {config.model_out}")
     return 0
 
 
@@ -826,8 +835,6 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     pairs = ingest_dataset(args.data)
-    if any(q is None for _, q in pairs):
-        raise ValueError("eval needs 'output' observations on every line")
     output_set = model.output_index_set
     truth = project_all([q for _, q in pairs], output_set)
     mse, mpt, _ = evaluate_model(model, pairs, truth, output_set)
@@ -848,45 +855,19 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    config = BenchmarkConfig(
-        methods=methods,
-        seed=args.seed,
-        data_path=args.data,
-        ordered_split=args.ordered_split,
-        test_fraction=args.test_fraction,
-        train_count=args.train_count,
-        test_count=args.test_count,
-        points_per_function=args.points,
-        noise_sd=args.noise,
-        anchor_count=args.anchors,
-        map_sigma=args.map_sigma,
-        feature_count=args.features,
-        radius_in=args.radius_in,
-        radius_out=args.radius_out,
-        folds=args.folds,
-        fixed_sigma=args.sigma,
-        fixed_lambda=args.ridge_lambda,
-        report_path=args.report,
-        model_out=args.model,
-    )
+    config = _config(args)
     report = run_benchmark(config)
     for rec in report["records"]:
         print(
             f"{rec['method']}: mse={rec['mse']:.6g} "
             f"mpt={rec['mpt_seconds']:.6g}s fit={rec['fit_seconds']:.3g}s"
         )
-    print(f"report written to {args.report}")
+    print(f"report written to {config.report_path}")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    pairs, _, _ = synthetic_task(
-        args.seed, args.instances, points=args.points, noise=args.noise,
-        anchors=args.anchors, map_sigma=args.map_sigma, dim_in=args.dim_in,
-        dim_out=args.dim_out, amplitude_in=args.amplitude_in,
-        amplitude_out=args.amplitude_out,
-    )
+    pairs, _, _ = synthetic_task(_config(args), args.instances)
     write_dataset(pairs, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0

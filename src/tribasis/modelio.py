@@ -17,6 +17,8 @@ from .features import RksFeatureMap
 from .regress import TripleBasisModel
 
 FORMAT_VERSION = 1
+# both model types expand functions in the tensor-product cosine basis
+BASIS_TAG = "cosine"
 TYPE_TRIPLE_BASIS = "triple-basis"
 TYPE_LINEAR_SMOOTHER = "linear-smoother"
 
@@ -93,12 +95,12 @@ def _tolist(arr) -> list:
 _SIZE_KEY = {TYPE_TRIPLE_BASIS: "D", TYPE_LINEAR_SMOOTHER: "N"}
 
 
-def _header(model, kind, basis_tag, size) -> dict:
+def _header(model, kind, size) -> dict:
     """The fields both model types share, in file order."""
     return {
         "format_version": FORMAT_VERSION,
         "type": kind,
-        "basis_tag": basis_tag,
+        "basis_tag": BASIS_TAG,
         "dimensions": {
             "l": model.input_index_set.dimension,
             "k": model.output_index_set.dimension,
@@ -125,6 +127,10 @@ def _read_header(doc):
     kind = _require(doc, "type")
     if kind not in (TYPE_TRIPLE_BASIS, TYPE_LINEAR_SMOOTHER):
         raise ModelFormatError(f"unknown model type {kind!r}")
+    basis_tag = _require(doc, "basis_tag")
+    if basis_tag != BASIS_TAG:
+        raise ModelFormatError(
+            f"field 'basis_tag' must be {BASIS_TAG!r}, found {basis_tag!r}")
     dims = _require(doc, "dimensions")
     if not isinstance(dims, dict):
         raise ModelFormatError("field 'dimensions' must be an object")
@@ -145,7 +151,7 @@ def save_model(model, destination) -> None:
     """Write a fitted model (either type) to a JSON model file."""
     if isinstance(model, TripleBasisModel):
         fmap = model.feature_map
-        doc = _header(model, TYPE_TRIPLE_BASIS, model.basis_tag, fmap.feature_count)
+        doc = _header(model, TYPE_TRIPLE_BASIS, fmap.feature_count)
         doc.update({
             "sigma": fmap.bandwidth,
             "lambda": model.ridge_lambda,
@@ -156,7 +162,7 @@ def save_model(model, destination) -> None:
             "training_count": model.training_count,
         })
     elif isinstance(model, LinearSmootherModel):
-        doc = _header(model, TYPE_LINEAR_SMOOTHER, "cosine", model.training_count)
+        doc = _header(model, TYPE_LINEAR_SMOOTHER, model.training_count)
         doc.update({
             "bandwidth": model.bandwidth,
             "kernel_tag": model.kernel_tag,
@@ -209,7 +215,6 @@ def load_model(source):
                 feature_map=fmap,
                 psi=_array(doc, "psi", (size, r)),
                 ridge_lambda=_scalar(doc, "lambda", float, 0.0),
-                basis_tag=str(_require(doc, "basis_tag")),
                 training_count=_scalar(doc, "training_count", int, 0),
             )
         return LinearSmootherModel(

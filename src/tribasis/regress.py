@@ -45,6 +45,7 @@ SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 LAMBDA_GRID = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 # candidate truncation radii averaged by ``average_truncation_radius``
 DEFAULT_RADII = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0)
+DEFAULT_FOLDS = 5  # cross-validation folds per observation, for each radius
 
 
 class IllConditionedError(ValueError):
@@ -184,7 +185,6 @@ class TripleBasisModel:
     feature_map: RksFeatureMap
     psi: np.ndarray
     ridge_lambda: float
-    basis_tag: str = "cosine"
     training_count: int = 0
 
     def __post_init__(self):
@@ -268,7 +268,7 @@ def predict_function(model: TripleBasisModel, input_obs: FunctionObservation, x)
 def average_truncation_radius(
     observations,
     candidate_radii=DEFAULT_RADII,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
 ) -> float:
     """Average of per-observation cross-validated truncation radii.
 

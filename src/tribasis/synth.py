@@ -76,8 +76,8 @@ class MappingSpec:
             )
         if bounds.shape[0] != len(self.output_index_set):
             raise ValueError("one bound per output index required")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, found {self.sigma!r}")
         l1 = np.abs(weights).sum(axis=1)
         if np.any(l1 > bounds * (1.0 + 1e-12)):
             raise ValueError("weight rows exceed their l1 bounds")

@@ -122,6 +122,18 @@ def test_cardinality_growth():
         assert 2**d * 0.7 <= ratio <= 2**d * 1.3
 
 
+@pytest.mark.parametrize("nu, gamma, amplitude, message", [
+    ([], [], 1.0, "non-empty"),
+    ([np.nan], [1.0], 1.0, "finite and strictly positive"),
+    ([1.0], [np.inf], 1.0, "finite and strictly positive"),
+    ([1.0], [1.0], np.nan, "finite and strictly positive"),
+    ([1.0], [1.0], np.inf, "finite and strictly positive"),
+])
+def test_sobolev_spec_rejects_empty_and_non_finite(nu, gamma, amplitude, message):
+    with pytest.raises(ValueError, match=message):
+        SobolevSpec(nu, gamma, amplitude)
+
+
 def test_index_set_rejects_duplicates_and_negatives():
     with pytest.raises(ValueError):
         BasisIndexSet(1, [[1], [1]])

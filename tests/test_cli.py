@@ -167,6 +167,16 @@ def test_non_finite_value_names_line(tmp_path, literal):
         ingest_dataset(path)
 
 
+@pytest.mark.parametrize("values", [[[1.0]], 1.0], ids=["nested", "scalar"])
+def test_values_that_are_not_a_flat_list_name_the_line(tmp_path, values):
+    doc = json.loads(_one_point_line())
+    doc["output"]["values"] = values
+    path = tmp_path / "nested.jsonl"
+    path.write_text(_one_point_line() + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"^line 2: values must be a 1-D list"):
+        ingest_dataset(path)
+
+
 @pytest.mark.parametrize("where", ["string", "line start"])
 def test_invalid_utf8_names_line(tmp_path, where):
     good = _one_point_line().encode()
@@ -876,6 +886,41 @@ def test_cli_rejects_bad_penalties_and_non_finite_flags(tmp_path, capsys, comman
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--features", "20001"],
+     "argument --features: feature_count must be an integer from 1 to 20000"),
+    (["bench", "--features", "20001"],
+     "argument --features: feature_count must be an integer from 1 to 20000"),
+    (["bench", "--test-fraction", "nan"], "argument --test-fraction: expected a finite"),
+    (["bench", "--map-sigma", "inf"], "argument --map-sigma: expected a finite"),
+    (["synth", "--amplitude-in", "nan"], "argument --amplitude-in: expected a finite"),
+    (["synth", "--amplitude-in", "inf"], "argument --amplitude-in: expected a finite"),
+    (["synth", "--amplitude-out=-inf"], "argument --amplitude-out: expected a finite"),
+    (["synth", "--map-sigma", "inf"], "argument --map-sigma: expected a finite"),
+    (["synth", "--noise", "nan"], "argument --noise: expected a finite"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_rejects_flags_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran past its flags")
+
+    for name in ("ingest_dataset", "run_benchmark", "synthetic_task"):
+        monkeypatch.setattr(cli, name, ran)
+    required = {"fit": ["--data", str(tmp_path / "d.jsonl"),
+                        "--model", str(tmp_path / "m.json")],
+                "bench": ["--report", str(tmp_path / "r.json")],
+                "synth": ["--out", str(tmp_path / "s.jsonl")]}[argv[0]]
+    assert main(argv[:1] + required + argv[1:]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--dim-in", "--dim-out"])
+def test_synth_rejects_an_empty_dimension(tmp_path, capsys, flag):
+    out = tmp_path / "synth.jsonl"
+    assert main(["synth", "--out", str(out), "--instances", "2", flag, "0"]) == 1
+    assert "nu and gamma must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_constant_series_fit_predicts_constant(tmp_path):
     pairs, _ = window_series(np.full(512, 3.25), SeriesWindowing(window_length=32))
     from tribasis import enumerate_ball as _ball, fit as _fit, predict_coeffs
@@ -925,7 +970,8 @@ def test_synth_writes_the_shared_builder_pairs(tmp_path):
     out = tmp_path / "synth.jsonl"
     assert main(["synth", "--out", str(out), "--instances", "6", "--points", "20",
                  "--seed", "11"]) == 0
-    pairs, truth, truth_set = synthetic_task(11, 6, points=20)
+    pairs, truth, truth_set = synthetic_task(
+        BenchmarkConfig(seed=11, points_per_function=20), 6)
     assert truth.shape == (6, len(truth_set))
 
     # the seed derivation the synthetic data has always had
@@ -961,6 +1007,79 @@ def test_report_reconstructs_run(tmp_path):
     for a, b in zip(report["records"], replayed["records"]):
         assert a["mse"] == b["mse"]
         assert a["hyperparameters"] == b["hyperparameters"]
+
+
+# every flag of fit, bench and synth that sets a BenchmarkConfig field:
+# flag -> (field, argument, parsed value), each value off the field's default
+CONFIG_FLAGS = {
+    "--data": ("data_path", "d.jsonl", "d.jsonl"),
+    "--model": ("model_out", "m.json", "m.json"),
+    "--report": ("report_path", "r.json", "r.json"),
+    "--methods": ("methods", "mean, triple-basis", ("mean", "triple-basis")),
+    "--seed": ("seed", "7", 7),
+    "--ordered-split": ("ordered_split", None, True),
+    "--test-fraction": ("test_fraction", "0.3", 0.3),
+    "--train-count": ("train_count", "40", 40),
+    "--test-count": ("test_count", "9", 9),
+    "--points": ("points_per_function", "30", 30),
+    "--noise": ("noise_sd", "0.05", 0.05),
+    "--anchors": ("anchor_count", "6", 6),
+    "--map-sigma": ("map_sigma", "1.5", 1.5),
+    "--dim-in": ("input_dim", "2", 2),
+    "--dim-out": ("output_dim", "3", 3),
+    "--amplitude-in": ("input_amplitude", "1.5", 1.5),
+    "--amplitude-out": ("output_amplitude", "2.5", 2.5),
+    "--features": ("feature_count", "80", 80),
+    "--sigma": ("fixed_sigma", "0.5", 0.5),
+    "--lambda": ("fixed_lambda", "0.01", 0.01),
+    "--radius-in": ("radius_in", "2", 2.0),
+    "--radius-out": ("radius_out", "3", 3.0),
+    "--folds": ("folds", "4", 4),
+}
+# per command: (required config flags, other config flags, flags of no field)
+COMMAND_FLAGS = {
+    "fit": (["--data", "--model"],
+            ["--seed", "--sigma", "--lambda", "--features", "--radius-in",
+             "--radius-out", "--folds"],
+            ["--method", "linear-smoother", "--bandwidth", "1.5"]),
+    "bench": (["--report"],
+              ["--methods", "--seed", "--data", "--ordered-split", "--test-fraction",
+               "--train-count", "--test-count", "--points", "--noise", "--anchors",
+               "--map-sigma", "--features", "--sigma", "--lambda", "--radius-in",
+               "--radius-out", "--folds", "--model"],
+              []),
+    "synth": ([],
+              ["--seed", "--points", "--noise", "--anchors", "--map-sigma", "--dim-in",
+               "--dim-out", "--amplitude-in", "--amplitude-out"],
+              ["--out", "s.jsonl", "--instances", "3"]),
+}
+
+
+def _parsed_config(command, flags, others):
+    argv, expected = [command, *others], {}
+    for flag in flags:
+        field, text, value = CONFIG_FLAGS[flag]
+        argv += [flag] if text is None else [flag, text]
+        expected[field] = value
+    return cli._config(cli._build_parser().parse_args(argv)), expected
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_config_of_the_required_flags_keeps_every_default(command):
+    required = COMMAND_FLAGS[command][0]
+    # synth's required --out sets no field
+    others = ["--out", "s.jsonl"] if command == "synth" else []
+    config, expected = _parsed_config(command, required, others)
+    assert config == BenchmarkConfig(**expected)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_flag_sets_the_field_it_names(command):
+    required, optional, others = COMMAND_FLAGS[command]
+    config, expected = _parsed_config(command, required + optional, others)
+    defaults = BenchmarkConfig()
+    assert all(getattr(defaults, field) != value for field, value in expected.items())
+    assert config == BenchmarkConfig(**expected)
 
 
 def test_cli_linear_smoother_fit_and_predict(tmp_path):

@@ -40,7 +40,6 @@ def test_triple_basis_round_trip_bitwise(fitted, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.ridge_lambda == model.ridge_lambda
-    assert loaded.basis_tag == model.basis_tag
     assert loaded.training_count == model.training_count
     assert np.array_equal(loaded.psi, model.psi)
     assert np.array_equal(loaded.feature_map.frequencies, model.feature_map.frequencies)
@@ -115,6 +114,28 @@ def test_unknown_type_tag(fitted, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", ["legendre", "missing"])
+@pytest.mark.parametrize("kind", ["triple-basis", "linear-smoother"])
+def test_basis_tag_other_than_cosine(fitted, tmp_path, capsys, kind, value):
+    model, smoother, test = fitted
+    path = tmp_path / "model.json"
+    save_model(model if kind == "triple-basis" else smoother, path)
+    doc = json.loads(path.read_text())
+    if value == "missing":
+        del doc["basis_tag"]
+    else:
+        doc["basis_tag"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="'basis_tag'"):
+        load_model(path)
+    data = tmp_path / "data.jsonl"
+    write_dataset(test, data)
+    argv = ["predict", "--model", str(path), "--data", str(data),
+            "--out", str(tmp_path / "preds.jsonl")]
+    assert main(argv) == 1
+    assert "'basis_tag'" in capsys.readouterr().err
 
 
 def test_index_size_mismatch(fitted, tmp_path):

@@ -108,6 +108,11 @@ def test_make_mapping_respects_budget():
     np.testing.assert_allclose(l1, mapping.bounds, rtol=1e-12)
 
 
+def test_mapping_rejects_non_finite_sigma():
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        make_mapping(SPEC_1D, SPEC_1D, n_anchors=4, sigma=np.inf, seed=2)
+
+
 def test_mapping_spec_validation():
     mapping = make_mapping(SPEC_1D, SPEC_1D, n_anchors=4, seed=2)
     with pytest.raises(ValueError):
