@@ -20,7 +20,6 @@ from .basis import (
     project_coefficients,
 )
 
-EPANECHNIKOV = "epanechnikov"
 # held-out-by-fitting distances per bandwidth-scoring block (1 MiB of float64)
 _CV_BLOCK_ELEMENTS = 1 << 17
 
@@ -44,7 +43,6 @@ class LinearSmootherModel:
     train_inputs: np.ndarray
     train_outputs: np.ndarray
     bandwidth: float
-    kernel_tag: str = EPANECHNIKOV
 
     def __post_init__(self):
         tin = np.asarray(self.train_inputs, dtype=float)
@@ -57,10 +55,8 @@ class LinearSmootherModel:
             raise ValueError("input coefficients do not match the input index set")
         if tout.shape[1] != len(self.output_index_set):
             raise ValueError("output coefficients do not match the output index set")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        if self.kernel_tag != EPANECHNIKOV:
-            raise ValueError(f"unknown kernel tag {self.kernel_tag!r}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be in (0, inf), found {self.bandwidth!r}")
         self.train_inputs = tin
         self.train_outputs = tout
 
@@ -130,14 +126,13 @@ def lse_fit_cv(
     dataset,
     input_index_set: BasisIndexSet,
     output_index_set: BasisIndexSet,
-    bandwidth_grid,
     seed: int,
 ):
     """Pick the bandwidth on the seeded held-out split (``holdout_split``,
     the same protocol as the triple-basis hyperparameter search), then refit
-    on all data. ``bandwidth_grid=None`` searches 0.25, 0.5, 1, 2 and 4
-    times the median pairwise distance of (up to 200 seeded-randomly
-    chosen) training input coefficients.
+    on all data. The search scores 0.25, 0.5, 1, 2 and 4 times the median
+    pairwise distance of (up to 200 seeded-randomly chosen) training input
+    coefficients.
 
     Returns (model, validation_mse).
     """
@@ -146,11 +141,7 @@ def lse_fit_cv(
         raise ValueError("bandwidth search needs at least two instances")
     tin = project_all([p for p, _ in dataset], input_index_set)
     tout = project_all([q for _, q in dataset], output_index_set)
-    if bandwidth_grid is None:
-        bandwidth_grid = _median_bandwidth_grid(tin, seed)
-    bandwidth_grid = [float(b) for b in bandwidth_grid]
-    if not bandwidth_grid:
-        raise ValueError("bandwidth_grid must be non-empty")
+    bandwidth_grid = _median_bandwidth_grid(tin, seed)
     val_idx, train_idx = holdout_split(len(dataset), seed)
     n_val = len(val_idx)
 

@@ -136,6 +136,14 @@ class SobolevSpec:
         )
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, or a ValueError naming the field ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a nested list of numbers ({exc})") from None
+
+
 @dataclass
 class FunctionObservation:
     """The raw view of a function: noisy point evaluations on the unit
@@ -155,7 +163,7 @@ class FunctionObservation:
                 f"unknown observation kind {self.kind!r}; expected "
                 f"{NOISY_EVALS!r} or {DENSITY_SAMPLE!r}"
             )
-        pts = np.asarray(self.points, dtype=float)
+        pts = _float_array(self.points, "points")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -171,7 +179,7 @@ class FunctionObservation:
         if self.kind == NOISY_EVALS:
             if self.values is None:
                 raise ValueError("noisy-evaluations observations need values")
-            vals = np.asarray(self.values, dtype=float)
+            vals = _float_array(self.values, "values")
             if vals.ndim != 1:
                 raise ValueError(
                     f"values must be a 1-D list of numbers, found {vals.ndim}-D"
@@ -261,50 +269,48 @@ def design_matrix(index_set: BasisIndexSet, points: np.ndarray) -> np.ndarray:
     return cosine_design(np.ascontiguousarray(pts), index_set.indices)
 
 
+_MAX_ENUMERATION = 50_000_000
+
+
+def _candidates(caps, radius: float) -> np.ndarray:
+    """Every multi-index a with 0 <= a_i <= caps[i], one per row, in lexicographic
+    order; a box of more than ``_MAX_ENUMERATION`` is refused before allocation."""
+    caps = np.floor(caps)
+    total = float(np.prod(caps + 1.0))
+    if not total <= _MAX_ENUMERATION:
+        raise ValueError(f"a ball of radius {float(radius)!r} would visit {total:.3g} "
+                         "candidates; radius too large to enumerate")
+    grids = np.meshgrid(*[np.arange(int(c) + 1) for c in caps], indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+
+
 def enumerate_ball(dimension: int, radius: float) -> BasisIndexSet:
     """All non-negative multi-indices with Euclidean norm <= radius."""
     if dimension < 1:
         raise ValueError("dimension must be a positive integer")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    kmax = int(np.floor(radius))
-    grids = np.meshgrid(*([np.arange(kmax + 1)] * dimension), indexing="ij")
-    cand = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+    if not radius >= 0:
+        raise ValueError(f"radius must be non-negative, found {radius!r}")
+    cand = _candidates(np.full(dimension, float(radius)), radius)
     keep = (cand.astype(float) ** 2).sum(axis=1) <= radius * radius
     return BasisIndexSet(
         dimension, cand[keep], rule=f"euclidean-ball(t={float(radius)!r})"
     )
 
 
-_MAX_ENUMERATION = 50_000_000
-
-
 def enumerate_kappa_ball(spec: SobolevSpec, radius: float) -> BasisIndexSet:
     """All non-negative multi-indices whose frequency weight kappa is
     <= radius, for the given smoothness spec."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    d = spec.dimension
+    if not radius >= 0:
+        raise ValueError(f"radius must be non-negative, found {radius!r}")
     # per-coordinate cap making the enumeration finite: any feasible index
     # satisfies |a_i| <= nu_lam^(-gamma_lam/gamma_i) * t^(1/gamma_i) where
     # lam minimizes nu_i^(2*gamma_i)
     lam = int(np.argmin(spec.nu ** (2.0 * spec.gamma)))
-    caps = np.floor(
-        spec.nu[lam] ** (-spec.gamma[lam] / spec.gamma)
-        * radius ** (1.0 / spec.gamma)
-    ).astype(np.int64)
-    caps = np.maximum(caps, 0)
-    total = float(np.prod(caps + 1.0))
-    if total > _MAX_ENUMERATION:
-        raise ValueError(
-            f"kappa-ball enumeration would visit {total:.3g} candidates; "
-            "radius too large for this spec"
-        )
-    grids = np.meshgrid(*[np.arange(c + 1) for c in caps], indexing="ij")
-    cand = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+    cand = _candidates(spec.nu[lam] ** (-spec.gamma[lam] / spec.gamma)
+                       * radius ** (1.0 / spec.gamma), radius)
     keep = spec.kappa(cand) <= radius
     return BasisIndexSet(
-        d, cand[keep], rule=f"kappa-ball(nu={spec.nu.tolist()}, "
+        spec.dimension, cand[keep], rule=f"kappa-ball(nu={spec.nu.tolist()}, "
         f"gamma={spec.gamma.tolist()}, t={float(radius)!r})"
     )
 

@@ -329,7 +329,7 @@ def window_series(values, windowing: SeriesWindowing, co_values=None):
 # function-space error
 
 
-def midpoint_grid(dimension: int, points_per_axis: int = 1024) -> np.ndarray:
+def midpoint_grid(dimension: int, points_per_axis: int) -> np.ndarray:
     """Midpoint-rule nodes on the unit cube, (points_per_axis^d, d)."""
     if dimension < 1:
         raise ValueError("dimension must be positive")
@@ -472,10 +472,7 @@ class BenchmarkConfig:
     feature_count: int | None = None
     radius_in: float | None = None
     radius_out: float | None = None
-    radius_candidates: tuple = DEFAULT_RADII
     folds: int = DEFAULT_FOLDS
-    sigma_grid: tuple = SIGMA_GRID
-    lambda_grid: tuple = LAMBDA_GRID
     fixed_sigma: float | None = None
     fixed_lambda: float | None = None
     report_path: str | None = None
@@ -516,20 +513,18 @@ def synthetic_task(config: BenchmarkConfig, instances: int):
     return pairs, truth_matrix, mapping.output_index_set
 
 
-def resolve_index_sets(pairs, radius_in, radius_out, folds,
-                       candidate_radii=DEFAULT_RADII):
+def resolve_index_sets(pairs, radius_in, radius_out, folds):
     """Input and output index sets of a fit: Euclidean balls of the given
     truncation radii, a radius left None being ``average_truncation_radius``
-    of that side's observations.
+    of that side's observations over ``DEFAULT_RADII``.
 
     Returns (input_set, output_set, radius_in, radius_out).
     """
     radii = []
     for side, radius in enumerate((radius_in, radius_out)):
         if radius is None:
-            radius = average_truncation_radius(
-                [pair[side] for pair in pairs], candidate_radii, folds
-            )
+            radius = average_truncation_radius([pair[side] for pair in pairs],
+                                               DEFAULT_RADII, folds)
         radii.append(float(radius))
     input_set = enumerate_ball(pairs[0][0].dimension, radii[0])
     output_set = enumerate_ball(pairs[0][1].dimension, radii[1])
@@ -538,12 +533,11 @@ def resolve_index_sets(pairs, radius_in, radius_out, folds,
 
 def fit_estimator(method: str, pairs, input_set: BasisIndexSet,
                   output_set: BasisIndexSet, seed: int, feature_count=None,
-                  sigma=None, ridge_lambda=None, bandwidth=None,
-                  sigma_grid=SIGMA_GRID, lambda_grid=LAMBDA_GRID):
+                  sigma=None, ridge_lambda=None, bandwidth=None):
     """Fit one of ``KNOWN_METHODS``. A given hyperparameter (``sigma``,
     ``ridge_lambda``; ``bandwidth`` for the smoother) is used as is, one left
-    None is searched on the seeded held-out split; ``feature_count`` None
-    means ``default_feature_count``.
+    None is searched on the seeded held-out split, over ``SIGMA_GRID`` or
+    ``LAMBDA_GRID``; ``feature_count`` None means ``default_feature_count``.
 
     Returns (model, hyperparameters, validation_mse); validation_mse is None
     when nothing was searched.
@@ -557,8 +551,8 @@ def fit_estimator(method: str, pairs, input_set: BasisIndexSet,
             return model, {"sigma": float(sigma), "lambda": float(ridge_lambda)}, None
         cv = fit_cv(
             pairs, input_set, output_set, feature_count, seed,
-            bandwidth_grid=sigma_grid if sigma is None else (sigma,),
-            lambda_grid=lambda_grid if ridge_lambda is None else (ridge_lambda,),
+            bandwidth_grid=SIGMA_GRID if sigma is None else (sigma,),
+            lambda_grid=LAMBDA_GRID if ridge_lambda is None else (ridge_lambda,),
         )
         hyper = {"sigma": cv.bandwidth, "lambda": cv.ridge_lambda}
         return cv.model, hyper, cv.validation_mse
@@ -566,7 +560,7 @@ def fit_estimator(method: str, pairs, input_set: BasisIndexSet,
         if bandwidth is not None:
             model, mse = lse_fit(pairs, input_set, output_set, bandwidth), None
         else:
-            model, mse = lse_fit_cv(pairs, input_set, output_set, None, seed)
+            model, mse = lse_fit_cv(pairs, input_set, output_set, seed)
         return model, {"bandwidth": model.bandwidth}, mse
     if method == "mean":
         mean = project_all([q for _, q in pairs], output_set).mean(axis=0)
@@ -616,9 +610,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         truth_all = truth_all[config.train_count :]
 
     input_set, output_set, t_in, t_out = resolve_index_sets(
-        train, config.radius_in, config.radius_out, config.folds,
-        config.radius_candidates,
-    )
+        train, config.radius_in, config.radius_out, config.folds)
     if config.data_path is not None:
         truth_set = output_set
         truth_all = project_all([q for _, q in test], output_set)
@@ -629,9 +621,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         model, hyper, _ = fit_estimator(
             method, train, input_set, output_set, cv_seed,
             feature_count=config.feature_count, sigma=config.fixed_sigma,
-            ridge_lambda=config.fixed_lambda, sigma_grid=config.sigma_grid,
-            lambda_grid=config.lambda_grid,
-        )
+            ridge_lambda=config.fixed_lambda)
         fit_seconds = time.perf_counter() - t0
         if method == "triple-basis" and config.model_out:
             save_model(model, config.model_out)

@@ -34,8 +34,8 @@ class RksFeatureMap:
     def __post_init__(self):
         if self.input_dim < 1 or self.feature_count < 1:
             raise ValueError("input_dim and feature_count must be positive")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be in (0, inf), found {self.bandwidth!r}")
         freqs = np.ascontiguousarray(self.frequencies, dtype=float)
         phases = np.ascontiguousarray(self.phases, dtype=float).reshape(-1)
         if freqs.shape != (self.feature_count, self.input_dim):
@@ -61,10 +61,8 @@ def sample_feature_map(
     input_dim: int, feature_count: int, bandwidth: float, seed: int
 ) -> RksFeatureMap:
     """Draw a feature map; identical seeds give bitwise-identical maps."""
-    if input_dim < 1 or feature_count < 1:
-        raise ValueError("input_dim and feature_count must be positive")
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be in (0, inf), found {bandwidth!r}")
     rng = np.random.default_rng(seed)
     freqs = rng.standard_normal((feature_count, input_dim)) / bandwidth
     phases = rng.uniform(0.0, TWO_PI, feature_count)

@@ -19,6 +19,8 @@ from .regress import TripleBasisModel
 FORMAT_VERSION = 1
 # both model types expand functions in the tensor-product cosine basis
 BASIS_TAG = "cosine"
+# the smoother's one kernel profile, ``baseline.kernel_weight``
+KERNEL_TAG = "epanechnikov"
 TYPE_TRIPLE_BASIS = "triple-basis"
 TYPE_LINEAR_SMOOTHER = "linear-smoother"
 
@@ -71,11 +73,21 @@ def _scalar(doc, key, kind, low, where="", strict=False):
         found = "null" if value is None else type(value).__name__
         raise ModelFormatError(
             f"field {where + key!r} must be {expected}, found {found}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer past the float range
+        value = float("inf") if value > 0 else float("-inf")
     if not (value > low if strict else value >= low) or value == float("inf"):
         raise ModelFormatError(f"field {where + key!r} must be finite and "
                                f"{'>' if strict else '>='} {low}, found {value!r}")
     return value
+
+
+def _tag(doc, key, expected) -> None:
+    """Raise ModelFormatError unless ``doc[key]`` is ``expected``."""
+    tag = _require(doc, key)
+    if tag != expected:
+        raise ModelFormatError(f"field {key!r} must be {expected!r}, found {tag!r}")
 
 
 def _index_set(doc, key, dimension, rule_key) -> BasisIndexSet:
@@ -127,10 +139,7 @@ def _read_header(doc):
     kind = _require(doc, "type")
     if kind not in (TYPE_TRIPLE_BASIS, TYPE_LINEAR_SMOOTHER):
         raise ModelFormatError(f"unknown model type {kind!r}")
-    basis_tag = _require(doc, "basis_tag")
-    if basis_tag != BASIS_TAG:
-        raise ModelFormatError(
-            f"field 'basis_tag' must be {BASIS_TAG!r}, found {basis_tag!r}")
+    _tag(doc, "basis_tag", BASIS_TAG)
     dims = _require(doc, "dimensions")
     if not isinstance(dims, dict):
         raise ModelFormatError("field 'dimensions' must be an object")
@@ -165,7 +174,7 @@ def save_model(model, destination) -> None:
         doc = _header(model, TYPE_LINEAR_SMOOTHER, model.training_count)
         doc.update({
             "bandwidth": model.bandwidth,
-            "kernel_tag": model.kernel_tag,
+            "kernel_tag": KERNEL_TAG,
             "train_inputs": _tolist(model.train_inputs),
             "train_outputs": _tolist(model.train_outputs),
         })
@@ -217,13 +226,13 @@ def load_model(source):
                 ridge_lambda=_scalar(doc, "lambda", float, 0.0),
                 training_count=_scalar(doc, "training_count", int, 0),
             )
+        _tag(doc, "kernel_tag", KERNEL_TAG)
         return LinearSmootherModel(
             input_index_set=input_set,
             output_index_set=output_set,
             train_inputs=_array(doc, "train_inputs", (size, s)),
             train_outputs=_array(doc, "train_outputs", (size, r)),
             bandwidth=_scalar(doc, "bandwidth", float, 0.0, strict=True),
-            kernel_tag=str(doc.get("kernel_tag", "epanechnikov")),
         )
     except ModelFormatError:
         raise

@@ -52,13 +52,12 @@ class IllConditionedError(ValueError):
     """Raised when a plain least-squares solve meets a numerically singular
     Gram matrix; carries the condition estimate."""
 
-    def __init__(self, condition_estimate: float, max_condition: float):
+    def __init__(self, condition_estimate: float):
         self.condition_estimate = float(condition_estimate)
-        self.max_condition = float(max_condition)
         super().__init__(
             f"gram matrix condition estimate {condition_estimate:.3e} exceeds "
-            f"the ridgeless limit {max_condition:.3e}; use a positive ridge "
-            "penalty"
+            f"the ridgeless limit {DEFAULT_MAX_CONDITION:.3e}; use a positive "
+            "ridge penalty"
         )
 
 
@@ -154,7 +153,7 @@ def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
         factor = sla.cho_factor(lhs, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError:
         if ridge_lambda == 0:
-            raise IllConditionedError(np.inf, DEFAULT_MAX_CONDITION) from None
+            raise IllConditionedError(np.inf) from None
         # accumulated grams are positive semidefinite only up to round-off;
         # a penalty below that noise can leave the shifted matrix
         # numerically indefinite. The failed factorization overwrote the
@@ -167,7 +166,7 @@ def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
         rcond, info = sla.lapack.dpocon(factor[0], anorm, uplo="L")
         cond = np.inf if rcond == 0 or info != 0 else 1.0 / rcond
         if cond > DEFAULT_MAX_CONDITION:
-            raise IllConditionedError(cond, DEFAULT_MAX_CONDITION)
+            raise IllConditionedError(cond)
     return sla.cho_solve(factor, summary.cross, check_finite=False)
 
 
@@ -198,8 +197,9 @@ class TripleBasisModel:
             raise ValueError(
                 "feature map input_dim does not match the input index set size"
             )
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge penalty must be non-negative")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ValueError(
+                f"ridge penalty must be in [0, inf), found {self.ridge_lambda!r}")
         self.psi = psi
 
 
@@ -209,7 +209,7 @@ def _dual_psi(z: np.ndarray, outputs: np.ndarray, ridge_lambda: float) -> np.nda
     at most N, so lambda = 0 is singular by construction and raises
     IllConditionedError without forming it."""
     if ridge_lambda == 0:
-        raise IllConditionedError(np.inf, DEFAULT_MAX_CONDITION)
+        raise IllConditionedError(np.inf)
     return z.T @ solve(TrainingSummary(z @ z.T, outputs, len(z)), ridge_lambda)
 
 
@@ -328,6 +328,9 @@ def fit_cv(
     The log keeps the caller's order and its first tie, searching a repeat
     once; an ill-conditioned point scores inf.
     """
+    for name, grid in (("bandwidth_grid", bandwidth_grid), ("lambda_grid", lambda_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} must be non-empty")
     dataset = list(dataset)
     if len(dataset) < 2:
         raise ValueError("hyperparameter search needs at least two instances")

@@ -24,6 +24,8 @@ from .basis import (
 from .features import rbf_kernel
 
 TRUTH_RADIUS = 16.0
+# share of the output ellipsoid amplitude a mapping's weight bounds spend
+BUDGET_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,10 @@ def make_mapping(
     n_anchors: int = 25,
     sigma: float = 1.0,
     seed: int = 0,
-    budget_fraction: float = 0.9,
 ) -> MappingSpec:
     """Draw a random mapping: anchors from the input measure, weight rows
     scaled to l1 bounds that decay fast enough to spend only
-    ``budget_fraction`` of the output ellipsoid amplitude."""
+    ``BUDGET_FRACTION`` of the output ellipsoid amplitude."""
     if n_anchors < 1:
         raise ValueError("need at least one anchor")
     root = np.random.SeedSequence(seed)
@@ -137,7 +138,7 @@ def make_mapping(
     kap = output_spec.kappa(out_set.indices)
     shape = (1.0 + kap * kap) ** -1.5
     denom = float((shape * shape * kap * kap).sum())
-    scale = np.sqrt(budget_fraction * output_spec.amplitude / denom)
+    scale = np.sqrt(BUDGET_FRACTION * output_spec.amplitude / denom)
     bounds = scale * shape
 
     rng = np.random.default_rng(root.spawn(1)[0])

@@ -153,12 +153,16 @@ def test_storage_grows_linearly():
     assert storage(10_000) == 10 * storage(1000)
 
 
-def test_bandwidth_cv_picks_reasonable_value():
+def _search_grid(monkeypatch, grid):
+    """Make ``lse_fit_cv`` search ``grid`` in place of the median-scaled one."""
+    monkeypatch.setattr(baseline, "_median_bandwidth_grid", lambda tin, seed: grid)
+
+
+def test_bandwidth_cv_picks_reasonable_value(monkeypatch):
     train, test, truths = identity_task(10, 120, 10, 80)
     uset = enumerate_ball(1, 3.0)
-    model, mse = lse_fit_cv(
-        train, uset, uset, bandwidth_grid=(0.05, 0.5, 1.0, 2.0, 8.0), seed=4
-    )
+    _search_grid(monkeypatch, (0.05, 0.5, 1.0, 2.0, 8.0))
+    model, mse = lse_fit_cv(train, uset, uset, seed=4)
     assert model.bandwidth in (0.05, 0.5, 1.0, 2.0, 8.0)
     assert mse >= 0.0
     # sanity: predictions correlate with the identity-task truth
@@ -179,7 +183,8 @@ def test_bandwidth_cv_matches_per_row_loop(monkeypatch):
     monkeypatch.setattr(baseline, "_CV_BLOCK_ELEMENTS", 16 * 560)
     uset = enumerate_ball(1, 3.0)
     grid = (0.02, 0.3, 1.0, 4.0)
-    model, mse = lse_fit_cv(train, uset, uset, bandwidth_grid=grid, seed=6)
+    _search_grid(monkeypatch, grid)
+    model, mse = lse_fit_cv(train, uset, uset, seed=6)
 
     tin = np.vstack([project(p, uset).coefficients for p, _ in train])
     tout = np.vstack([project(q, uset).coefficients for _, q in train])
@@ -201,18 +206,19 @@ def test_bandwidth_cv_matches_per_row_loop(monkeypatch):
     assert mse == pytest.approx(loop_mses[best], rel=1e-12)
 
 
-def test_bandwidth_cv_default_grid_is_median_scaled():
+def test_bandwidth_cv_default_grid_is_median_scaled(monkeypatch):
     # 260 training inputs: the median is taken over a seeded subsample of 200
     train, _, _ = identity_task(14, 260, 0, 40)
     uset = enumerate_ball(1, 3.0)
-    model, mse = lse_fit_cv(train, uset, uset, None, seed=8)
+    model, mse = lse_fit_cv(train, uset, uset, seed=8)
 
     tin = np.vstack([project(p, uset).coefficients for p, _ in train])
     sub = tin[np.random.default_rng(8).choice(len(train), size=200, replace=False)]
     dists = [np.linalg.norm(sub[i] - sub[j])
              for i in range(len(sub)) for j in range(i + 1, len(sub))]
     grid = tuple(np.median(dists) * m for m in (0.25, 0.5, 1.0, 2.0, 4.0))
-    explicit, explicit_mse = lse_fit_cv(train, uset, uset, grid, seed=8)
+    _search_grid(monkeypatch, grid)
+    explicit, explicit_mse = lse_fit_cv(train, uset, uset, seed=8)
     assert model.bandwidth == pytest.approx(explicit.bandwidth, rel=1e-12)
     assert mse == pytest.approx(explicit_mse, rel=1e-12)
 

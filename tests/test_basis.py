@@ -598,3 +598,9 @@ def test_kappa_ball_enumeration_guard():
     spec = SobolevSpec([1.0], [0.2], 1.0)
     with pytest.raises(ValueError, match="radius too large"):
         enumerate_kappa_ball(spec, 100.0)
+
+
+def test_ball_enumeration_guard_names_the_radius():
+    # 10^12 candidates: refused before the candidate grid is allocated
+    with pytest.raises(ValueError, match=r"radius 1000000\.0 would visit 1e\+12 "):
+        enumerate_ball(2, 1e6)

@@ -177,6 +177,21 @@ def test_values_that_are_not_a_flat_list_name_the_line(tmp_path, values):
         ingest_dataset(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points", {}), ("points", [[{}]]), ("values", [{}]),
+], ids=["points-object", "point-object", "value-object"])
+def test_objects_inside_an_observation_name_the_line(tmp_path, capsys, field, value):
+    doc = json.loads(_one_point_line())
+    doc["input"][field] = value
+    path = tmp_path / "objects.jsonl"
+    path.write_text(_one_point_line() + "\n" + json.dumps(doc) + "\n")
+    message = f"line 2: {field} must be a nested list of numbers"
+    with pytest.raises(DatasetFormatError, match=f"^{message}"):
+        ingest_dataset(path)
+    assert main(["fit", "--data", str(path), "--model", str(tmp_path / "m.json")]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["string", "line start"])
 def test_invalid_utf8_names_line(tmp_path, where):
     good = _one_point_line().encode()
@@ -913,6 +928,16 @@ def test_cli_rejects_flags_before_any_work(tmp_path, capsys, monkeypatch, argv, 
     assert message in capsys.readouterr().err
 
 
+def test_fit_refuses_a_ball_too_large_to_enumerate(tmp_path, capsys):
+    data, model = tmp_path / "data.jsonl", tmp_path / "m.json"
+    assert main(["synth", "--out", str(data), "--instances", "4", "--points", "10",
+                 "--dim-in", "2"]) == 0
+    assert main(["fit", "--data", str(data), "--model", str(model),
+                 "--radius-in", "1e6", "--radius-out", "2"]) == 1
+    assert "radius 1000000.0 would visit 1e+12 candidates" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("flag", ["--dim-in", "--dim-out"])
 def test_synth_rejects_an_empty_dimension(tmp_path, capsys, flag):
     out = tmp_path / "synth.jsonl"
@@ -946,7 +971,7 @@ def test_constant_series_fit_predicts_constant(tmp_path):
         ("linear-smoother", {"bandwidth": 1.5},
          lambda pairs, u: lse_fit(pairs, u, u, 1.5)),
         ("linear-smoother", {},
-         lambda pairs, u: lse_fit_cv(pairs, u, u, None, 7)[0]),
+         lambda pairs, u: lse_fit_cv(pairs, u, u, 7)[0]),
     ],
     ids=["triple-basis-fixed", "triple-basis-search", "smoother-fixed",
          "smoother-search"],
@@ -992,8 +1017,7 @@ def test_synth_writes_the_shared_builder_pairs(tmp_path):
 
 def _config_from_report(doc):
     fields = dict(doc["config"])
-    for key in ("methods", "radius_candidates", "sigma_grid", "lambda_grid"):
-        fields[key] = tuple(fields[key])
+    fields["methods"] = tuple(fields["methods"])
     return BenchmarkConfig(**fields)
 
 

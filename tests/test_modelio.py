@@ -1,5 +1,6 @@
 """Model files: bit-exact round trips and distinct failure modes."""
 
+import dataclasses
 import io
 import json
 import re
@@ -55,7 +56,6 @@ def test_linear_smoother_round_trip_bitwise(fitted, tmp_path):
     save_model(smoother, path)
     loaded = load_model(path)
     assert loaded.bandwidth == smoother.bandwidth
-    assert loaded.kernel_tag == smoother.kernel_tag
     for pin, _ in test:
         assert np.array_equal(
             lse_predict(smoother, pin).coefficients,
@@ -136,6 +136,47 @@ def test_basis_tag_other_than_cosine(fitted, tmp_path, capsys, kind, value):
             "--out", str(tmp_path / "preds.jsonl")]
     assert main(argv) == 1
     assert "'basis_tag'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["gaussian", "missing"])
+def test_kernel_tag_other_than_epanechnikov(fitted, tmp_path, capsys, value):
+    _, smoother, test = fitted
+    path = tmp_path / "model.json"
+    save_model(smoother, path)
+    doc = json.loads(path.read_text())
+    if value == "missing":
+        del doc["kernel_tag"]
+    else:
+        doc["kernel_tag"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="'kernel_tag'") as caught:
+        load_model(path)
+    assert caught.type is ModelFormatError
+    data = tmp_path / "data.jsonl"
+    write_dataset(test, data)
+    argv = ["predict", "--model", str(path), "--data", str(data),
+            "--out", str(tmp_path / "preds.jsonl")]
+    assert main(argv) == 1
+    assert "'kernel_tag'" in capsys.readouterr().err
+
+
+# models whose files load_model would refuse: each is refused when built
+UNLOADABLE = {
+    "feature-map-sigma-inf": lambda model, smoother, test: sample_feature_map(
+        len(model.input_index_set), 40, float("inf"), seed=2),
+    "smoother-bandwidth-inf": lambda model, smoother, test: lse_fit(
+        test, smoother.input_index_set, smoother.output_index_set, float("inf")),
+    "lambda-nan": lambda model, smoother, test: dataclasses.replace(
+        model, ridge_lambda=float("nan")),
+    "lambda-inf": lambda model, smoother, test: dataclasses.replace(
+        model, ridge_lambda=float("inf")),
+}
+
+
+@pytest.mark.parametrize("build", UNLOADABLE.values(), ids=UNLOADABLE.keys())
+def test_a_model_its_file_would_not_load_is_refused(fitted, build):
+    with pytest.raises(ValueError, match=r"must be in (\[|\()0, inf\)"):
+        build(*fitted)
 
 
 def test_index_size_mismatch(fitted, tmp_path):
@@ -239,6 +280,20 @@ def test_out_of_range_scalar_field(fitted, tmp_path, capsys, kind, field, value)
             "--out", str(tmp_path / "preds.jsonl")]
     assert main(argv) == 1
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("triple-basis", "sigma"), ("triple-basis", "lambda"), ("linear-smoother", "bandwidth"),
+])
+def test_an_integer_past_the_float_range_is_refused(fitted, kind, field):
+    model, smoother, _ = fitted
+    stream = io.StringIO()
+    save_model(model if kind == "triple-basis" else smoother, stream)
+    doc = json.loads(stream.getvalue())
+    doc[field] = 10**400
+    with pytest.raises(ModelFormatError, match=f"'{field}' must be finite") as caught:
+        load_model(io.StringIO(json.dumps(doc)))
+    assert caught.type is ModelFormatError
 
 
 # (kind, path to one array entry, value): a wrong type, a null or an

@@ -625,3 +625,14 @@ def test_fit_cv_scores_an_ill_conditioned_penalty_inf(n_train, bandwidths):
         [np.inf] * len(bandwidths))
     with pytest.raises(IllConditionedError):
         fit_cv(train, uset, uset, 80, 3, bandwidth_grid=bandwidths, lambda_grid=(0.0,))
+
+
+@pytest.mark.parametrize("empty", ["bandwidth_grid", "lambda_grid"])
+def test_fit_cv_rejects_an_empty_grid_before_any_work(monkeypatch, empty):
+    def projected(*args):
+        raise AssertionError("fit_cv projected before checking its grids")
+
+    train, _, uset, _ = _tiny_task(31, n_train=40)
+    monkeypatch.setattr(regress, "project_all", projected)
+    with pytest.raises(ValueError, match=f"^{empty} must be non-empty$"):
+        fit_cv(train, uset, uset, 20, 3, **{empty: ()})
