@@ -55,6 +55,8 @@ class LinearSmootherModel:
             raise ValueError("input coefficients do not match the input index set")
         if tout.shape[1] != len(self.output_index_set):
             raise ValueError("output coefficients do not match the output index set")
+        if not (np.isfinite(tin).all() and np.isfinite(tout).all()):
+            raise ValueError("training coefficients must be finite")
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be in (0, inf), found {self.bandwidth!r}")
         self.train_inputs = tin

@@ -267,16 +267,14 @@ class SeriesWindowing:
 
 @dataclass(frozen=True)
 class SeriesTransform:
-    """Affine rescale applied to series values before windowing."""
+    """Affine rescale applied to series values before windowing; a
+    windowed value v stands for the series value offset + scale * v."""
 
     offset: float
     scale: float
 
     def apply(self, values):
         return (np.asarray(values, dtype=float) - self.offset) / self.scale
-
-    def invert(self, values):
-        return self.offset + self.scale * np.asarray(values, dtype=float)
 
 
 def _window_obs(values: np.ndarray, start: int, w: int) -> FunctionObservation:

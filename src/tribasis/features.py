@@ -45,8 +45,13 @@ class RksFeatureMap:
             )
         if phases.shape[0] != self.feature_count:
             raise ValueError("one phase per feature required")
-        if np.any(phases < 0.0) or np.any(phases >= TWO_PI):
+        if not np.isfinite(freqs).all():
+            raise ValueError("frequencies must be finite")
+        # a NaN phase fails both comparisons, so test that each one holds
+        if not ((phases >= 0.0) & (phases < TWO_PI)).all():
             raise ValueError("phases must lie in [0, 2*pi)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, found {self.seed!r}")
         freqs.setflags(write=False)
         phases.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)

@@ -9,8 +9,9 @@ equivalent N x N dual system instead, psi = Z^T (Z Z^T + lambda I)^-1 Y,
 whose O(N*D) memory is below the Gram's O(D^2); ``accumulate`` and
 ``TrainingSummary.merge`` stay primal. Every system is solved by one
 in-place Cholesky factorization, condition-checked for plain least
-squares, with a symmetric indefinite fallback for a positive penalty
-below the Gram's round-off; an explicit inverse is never formed.
+squares; a system it cannot factor, at any penalty, is numerically
+singular and raises IllConditionedError. An explicit inverse is never
+formed.
 """
 
 from dataclasses import dataclass, field
@@ -49,15 +50,15 @@ DEFAULT_FOLDS = 5  # cross-validation folds per observation, for each radius
 
 
 class IllConditionedError(ValueError):
-    """Raised when a plain least-squares solve meets a numerically singular
-    Gram matrix; carries the condition estimate."""
+    """Raised when a ridge system is numerically singular: its Cholesky
+    factorization fails (condition estimate inf), or, without a penalty,
+    ``dpocon`` estimates a condition past ``DEFAULT_MAX_CONDITION``."""
 
     def __init__(self, condition_estimate: float):
         self.condition_estimate = float(condition_estimate)
         super().__init__(
             f"gram matrix condition estimate {condition_estimate:.3e} exceeds "
-            f"the ridgeless limit {DEFAULT_MAX_CONDITION:.3e}; use a positive "
-            "ridge penalty"
+            f"the limit {DEFAULT_MAX_CONDITION:.3e}; use a larger ridge penalty"
         )
 
 
@@ -85,10 +86,6 @@ class TrainingSummary:
     @property
     def feature_count(self) -> int:
         return self.gram.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.cross.shape[1]
 
     def merge(self, other: "TrainingSummary") -> "TrainingSummary":
         """Entrywise sum of two summaries (shards commute up to round-off)."""
@@ -127,40 +124,27 @@ def accumulate(inputs, outputs, fmap: RksFeatureMap) -> TrainingSummary:
     return _summaries(inputs, outputs, [fmap], _BATCH_ROWS)[0]
 
 
-def _shift_into(lhs: np.ndarray, gram: np.ndarray, ridge_lambda: float) -> None:
-    """Overwrite ``lhs`` with ``gram`` plus ``ridge_lambda`` on the diagonal."""
-    lhs[...] = gram
-    diag = np.arange(lhs.shape[0])
-    lhs[diag, diag] += ridge_lambda
-
-
 def solve(summary: TrainingSummary, ridge_lambda: float) -> np.ndarray:
     """Solve (gram + lambda * I) psi = cross for the coefficient matrix.
 
     One shifted, Fortran-ordered copy of the Gram is Cholesky-factored in
     place, so the summary is never modified and one summary serves a whole
-    grid of penalties. lambda = 0 is ordinary least squares: a failed
-    factorization, or a ``dpocon`` condition estimate past
-    ``DEFAULT_MAX_CONDITION``, raises IllConditionedError. A positive
-    penalty that fails to factor falls back to a symmetric indefinite solve.
+    grid of penalties. Cholesky completes on every positive definite matrix
+    not within round-off of singular, so a failed factorization raises
+    IllConditionedError at any lambda. lambda = 0 is ordinary least
+    squares, and a ``dpocon`` condition estimate past
+    ``DEFAULT_MAX_CONDITION`` raises it too.
     """
     if not 0 <= ridge_lambda < np.inf:
         raise ValueError(
             f"ridge penalty must be a finite number >= 0, found {ridge_lambda!r}")
-    lhs = np.empty_like(summary.gram, order="F")
-    _shift_into(lhs, summary.gram, ridge_lambda)
+    lhs = np.array(summary.gram, order="F")
+    diag = np.arange(lhs.shape[0])
+    lhs[diag, diag] += ridge_lambda
     try:
         factor = sla.cho_factor(lhs, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError:
-        if ridge_lambda == 0:
-            raise IllConditionedError(np.inf) from None
-        # accumulated grams are positive semidefinite only up to round-off;
-        # a penalty below that noise can leave the shifted matrix
-        # numerically indefinite. The failed factorization overwrote the
-        # copy, so rebuild it for the symmetric solve.
-        _shift_into(lhs, summary.gram, ridge_lambda)
-        return sla.solve(lhs, summary.cross, assume_a="sym",
-                         overwrite_a=True, check_finite=False)
+        raise IllConditionedError(np.inf) from None
     if ridge_lambda == 0:
         anorm = np.abs(summary.gram).sum(axis=0).max()
         rcond, info = sla.lapack.dpocon(factor[0], anorm, uplo="L")
@@ -197,9 +181,14 @@ class TripleBasisModel:
             raise ValueError(
                 "feature map input_dim does not match the input index set size"
             )
+        if not np.isfinite(psi).all():
+            raise ValueError("psi must be finite")
         if not 0 <= self.ridge_lambda < np.inf:
             raise ValueError(
                 f"ridge penalty must be in [0, inf), found {self.ridge_lambda!r}")
+        if self.training_count < 0:
+            raise ValueError(
+                f"training_count must be non-negative, found {self.training_count!r}")
         self.psi = psi
 
 

@@ -34,7 +34,6 @@ from tribasis.basis import holdout_split
 from tribasis.cli import (
     BenchmarkConfig,
     DatasetFormatError,
-    SeriesTransform,
     SeriesWindowing,
     coefficient_mse,
     evaluate_model,
@@ -438,6 +437,12 @@ def test_read_series_rejects_non_finite(tmp_path, text):
 # windowing
 
 
+def _original(transform, values):
+    """Series values behind windowed ``values``: the inverse that the
+    ``window`` sidecar's offset and scale give."""
+    return transform.offset + transform.scale * values
+
+
 def test_forward_window_minimal_series():
     pairs, transform = window_series(
         [1.0, 2.0, 3.0, 4.0], SeriesWindowing(window_length=2, stride=2)
@@ -445,8 +450,8 @@ def test_forward_window_minimal_series():
     assert len(pairs) == 1
     pin, pout = pairs[0]
     np.testing.assert_allclose(pin.points[:, 0], [0.25, 0.75])
-    np.testing.assert_allclose(transform.invert(pin.values), [1.0, 2.0])
-    np.testing.assert_allclose(transform.invert(pout.values), [3.0, 4.0])
+    np.testing.assert_allclose(_original(transform, pin.values), [1.0, 2.0])
+    np.testing.assert_allclose(_original(transform, pout.values), [3.0, 4.0])
 
 
 def test_forward_window_counts():
@@ -464,7 +469,7 @@ def test_constant_series_windows():
     for pin, pout in pairs:
         assert np.all(pin.values == pin.values[0])
         assert np.all(pout.values == pout.values[0])
-    np.testing.assert_allclose(transform.invert(pairs[0][0].values), 7.5)
+    np.testing.assert_allclose(_original(transform, pairs[0][0].values), 7.5)
 
 
 def test_forward_window_too_short():
@@ -480,8 +485,8 @@ def test_co_occurring_windows():
     )
     assert len(pairs) == 2
     pin, pout = pairs[0]
-    np.testing.assert_allclose(transform.invert(pin.values), [0.0, 1.0, 2.0])
-    np.testing.assert_allclose(transform.invert(pout.values), [0.0, 2.0, 4.0])
+    np.testing.assert_allclose(_original(transform, pin.values), [0.0, 1.0, 2.0])
+    np.testing.assert_allclose(_original(transform, pout.values), [0.0, 2.0, 4.0])
 
 
 def test_co_occurring_window_too_short():
@@ -508,9 +513,9 @@ def test_overlapping_strides(mode, length, w, stride):
     target = series if co is None else co
     for i, (pin, pout) in enumerate(pairs):
         start = i * stride
-        np.testing.assert_allclose(transform.invert(pin.values),
+        np.testing.assert_allclose(_original(transform, pin.values),
                                    series[start : start + w], rtol=1e-13)
-        np.testing.assert_allclose(transform.invert(pout.values),
+        np.testing.assert_allclose(_original(transform, pout.values),
                                    target[start + offset : start + offset + w],
                                    rtol=1e-13)
 
@@ -545,12 +550,6 @@ def test_windowing_validation():
         SeriesWindowing(window_length=4, stride=0)
     with pytest.raises(ValueError):
         SeriesWindowing(window_length=4, mode="backward")
-
-
-def test_series_transform_round_trip():
-    tr = SeriesTransform(offset=-3.0, scale=11.0)
-    x = np.linspace(-3.0, 8.0, 13)
-    np.testing.assert_allclose(tr.invert(tr.apply(x)), x, rtol=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -926,6 +925,20 @@ def test_cli_rejects_flags_before_any_work(tmp_path, capsys, monkeypatch, argv, 
                 "synth": ["--out", str(tmp_path / "s.jsonl")]}[argv[0]]
     assert main(argv[:1] + required + argv[1:]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_fit_with_a_penalty_below_round_off_exits_1(tmp_path, capsys):
+    # 30 pairs against D = 60 features take the dual; in floating point
+    # lambda = 1e-300 shifts its kernel matrix exactly as 0 does
+    data, model = tmp_path / "s.jsonl", tmp_path / "m.json"
+    assert main(["synth", "--out", str(data), "--instances", "30",
+                 "--points", "20"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data), "--model", str(model),
+                 "--sigma", "1", "--lambda", "1e-300",
+                 "--radius-in", "0", "--radius-out", "0"]) == 1
+    assert "ridge penalty" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_fit_refuses_a_ball_too_large_to_enumerate(tmp_path, capsys):

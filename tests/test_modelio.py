@@ -160,22 +160,47 @@ def test_kernel_tag_other_than_epanechnikov(fitted, tmp_path, capsys, value):
     assert "'kernel_tag'" in capsys.readouterr().err
 
 
-# models whose files load_model would refuse: each is refused when built
+def _first_entry(array, value):
+    """A copy of ``array`` whose first entry is ``value``."""
+    out = np.array(array, dtype=float)
+    out.flat[0] = value
+    return out
+
+
+IN_RANGE = r"must be in (\[|\()0, inf\)"
+# models whose files load_model would refuse: each is refused when built,
+# with the error it raises
 UNLOADABLE = {
-    "feature-map-sigma-inf": lambda model, smoother, test: sample_feature_map(
-        len(model.input_index_set), 40, float("inf"), seed=2),
-    "smoother-bandwidth-inf": lambda model, smoother, test: lse_fit(
+    "feature-map-sigma-inf": (lambda model, smoother, test: sample_feature_map(
+        len(model.input_index_set), 40, float("inf"), seed=2), IN_RANGE),
+    "smoother-bandwidth-inf": (lambda model, smoother, test: lse_fit(
         test, smoother.input_index_set, smoother.output_index_set, float("inf")),
-    "lambda-nan": lambda model, smoother, test: dataclasses.replace(
-        model, ridge_lambda=float("nan")),
-    "lambda-inf": lambda model, smoother, test: dataclasses.replace(
-        model, ridge_lambda=float("inf")),
+        IN_RANGE),
+    "lambda-nan": (lambda model, smoother, test: dataclasses.replace(
+        model, ridge_lambda=float("nan")), IN_RANGE),
+    "lambda-inf": (lambda model, smoother, test: dataclasses.replace(
+        model, ridge_lambda=float("inf")), IN_RANGE),
+    "psi-nan": (lambda model, smoother, test: dataclasses.replace(
+        model, psi=_first_entry(model.psi, np.nan)), "psi must be finite"),
+    "frequencies-inf": (lambda model, smoother, test: dataclasses.replace(
+        model.feature_map, frequencies=_first_entry(model.feature_map.frequencies, np.inf)),
+        "frequencies must be finite"),
+    "phases-nan": (lambda model, smoother, test: dataclasses.replace(
+        model.feature_map, phases=_first_entry(model.feature_map.phases, np.nan)),
+        r"phases must lie in \[0, 2\*pi\)"),
+    "seed-negative": (lambda model, smoother, test: dataclasses.replace(
+        model.feature_map, seed=-1), "seed must be non-negative"),
+    "training-count-negative": (lambda model, smoother, test: dataclasses.replace(
+        model, training_count=-1), "training_count must be non-negative"),
+    "smoother-inputs-nan": (lambda model, smoother, test: dataclasses.replace(
+        smoother, train_inputs=_first_entry(smoother.train_inputs, np.nan)),
+        "training coefficients must be finite"),
 }
 
 
-@pytest.mark.parametrize("build", UNLOADABLE.values(), ids=UNLOADABLE.keys())
-def test_a_model_its_file_would_not_load_is_refused(fitted, build):
-    with pytest.raises(ValueError, match=r"must be in (\[|\()0, inf\)"):
+@pytest.mark.parametrize("build, message", UNLOADABLE.values(), ids=UNLOADABLE.keys())
+def test_a_model_its_file_would_not_load_is_refused(fitted, build, message):
+    with pytest.raises(ValueError, match=message):
         build(*fitted)
 
 

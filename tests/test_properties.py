@@ -145,10 +145,13 @@ def test_any_single_field_edit_loads_or_raises_a_format_error(data):
 
 
 # model scalars of any float value, inf and NaN included, mostly in the
-# loader's range; arrays of finite numbers
+# loader's range; integers, negative ones included; array entries that are
+# finite for some models and any float, inf and NaN included, for others
 SCALAR = (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
           | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0]))
+INTEGER = st.integers(-2, 2**70)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ENTRIES = st.sampled_from([FINITE, st.floats()])
 INDEX_SETS = st.builds(enumerate_ball, st.integers(1, 3), st.sampled_from([0.0, 1.0, 2.0]))
 
 
@@ -157,11 +160,13 @@ def _triple_basis(draw):
     """A zero-argument builder of a tiny triple-basis model."""
     in_set, out_set = draw(INDEX_SETS), draw(INDEX_SETS)
     d, s = draw(st.integers(1, 5)), len(in_set)
-    sigma, seed = draw(SCALAR), draw(st.integers(0, 2**70))
-    frequencies = draw(arrays(float, (d, s), elements=FINITE))
-    phases = draw(arrays(float, d, elements=st.floats(0.0, TWO_PI, exclude_max=True)))
-    psi = draw(arrays(float, (d, len(out_set)), elements=FINITE))
-    ridge_lambda, count = draw(SCALAR), draw(st.integers(0, 2**70))
+    sigma, seed = draw(SCALAR), draw(INTEGER)
+    entries = draw(ENTRIES)
+    frequencies = draw(arrays(float, (d, s), elements=entries))
+    phase = st.floats(0.0, TWO_PI, exclude_max=True) if entries is FINITE else entries
+    phases = draw(arrays(float, d, elements=phase))
+    psi = draw(arrays(float, (d, len(out_set)), elements=entries))
+    ridge_lambda, count = draw(SCALAR), draw(INTEGER)
     return lambda: TripleBasisModel(
         in_set, out_set, RksFeatureMap(s, d, sigma, frequencies, phases, seed),
         psi, ridge_lambda, count)
@@ -171,8 +176,9 @@ def _triple_basis(draw):
 def _smoother(draw):
     """A zero-argument builder of a tiny smoother."""
     in_set, out_set, n = draw(INDEX_SETS), draw(INDEX_SETS), draw(st.integers(1, 5))
-    inputs = draw(arrays(float, (n, len(in_set)), elements=FINITE))
-    outputs = draw(arrays(float, (n, len(out_set)), elements=FINITE))
+    entries = draw(ENTRIES)
+    inputs = draw(arrays(float, (n, len(in_set)), elements=entries))
+    outputs = draw(arrays(float, (n, len(out_set)), elements=entries))
     bandwidth = draw(SCALAR)
     return lambda: LinearSmootherModel(in_set, out_set, inputs, outputs, bandwidth)
 

@@ -168,10 +168,10 @@ def test_singular_gram_raises_named_condition(monkeypatch):
 
 def test_solve_shifts_diagonal_like_identity_sum_and_keeps_gram():
     # the in-place factorization of the shifted copy must give exactly the
-    # psi of the old gram + lambda * eye(D) expression, on the Cholesky path
-    # and on the symmetric fallback (which rebuilds the overwritten copy),
-    # for C- and Fortran-ordered grams, and leave the summary as it was for
-    # the next penalty
+    # psi of the old gram + lambda * eye(D) expression, for C- and
+    # Fortran-ordered grams; a shifted gram that Cholesky cannot factor
+    # raises IllConditionedError; either way the summary is left as it was
+    # for the next penalty
     rng = np.random.default_rng(31)
     z, a = _random_problem(rng)
     definite = TrainingSummary(z.T @ z, z.T @ a, 50)
@@ -187,22 +187,24 @@ def test_solve_shifts_diagonal_like_identity_sum_and_keeps_gram():
                 shifted = base.gram + lam * np.eye(base.feature_count)
                 try:
                     factor = sla.cho_factor(shifted, lower=True, check_finite=False)
-                    old = sla.cho_solve(factor, base.cross, check_finite=False)
-                    paths.add("cholesky")
                 except sla.LinAlgError:
                     assert base is indefinite
-                    old = sla.solve(shifted, base.cross, assume_a="sym",
-                                    check_finite=False)
-                    paths.add("fallback")
-                assert np.array_equal(solve(summary, lam), old)
+                    with pytest.raises(IllConditionedError) as err:
+                        solve(summary, lam)
+                    assert err.value.condition_estimate == np.inf
+                    paths.add("ill-conditioned")
+                else:
+                    old = sla.cho_solve(factor, base.cross, check_finite=False)
+                    assert np.array_equal(solve(summary, lam), old)
+                    paths.add("cholesky")
                 assert np.array_equal(summary.gram, gram)
-    assert paths == {"cholesky", "fallback"}
+    assert paths == {"cholesky", "ill-conditioned"}
 
 
 @pytest.mark.parametrize("definite", [True, False])
 def test_solve_holds_one_shifted_copy(definite):
     # a penalized solve works on its one shifted copy of the Gram in place,
-    # on the Cholesky path and on the symmetric fallback: tracemalloc's peak
+    # whether it solves or its factorization fails: tracemalloc's peak
     # stays below one and a half D x D arrays
     import tracemalloc
 
@@ -218,7 +220,11 @@ def test_solve_holds_one_shifted_copy(definite):
     del z, gram
     tracemalloc.start()
     try:
-        solve(summary, 1e-6)
+        if definite:
+            solve(summary, 1e-6)
+        else:
+            with pytest.raises(IllConditionedError):
+                solve(summary, 1e-6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -625,6 +631,38 @@ def test_fit_cv_scores_an_ill_conditioned_penalty_inf(n_train, bandwidths):
         [np.inf] * len(bandwidths))
     with pytest.raises(IllConditionedError):
         fit_cv(train, uset, uset, 80, 3, bandwidth_grid=bandwidths, lambda_grid=(0.0,))
+
+
+def _three_input_task(n_pairs=200, n_points=20):
+    """``n_pairs`` pairs whose inputs repeat three distinct functions, so the
+    Gram of any feature map has rank three; index sets; a D = 40 map."""
+    points = (np.arange(n_points) + 0.5) / n_points
+    shapes = [np.cos(np.pi * k * points) for k in range(3)]
+    rng = np.random.default_rng(41)
+    pairs = [(FunctionObservation("noisy-evaluations", points, shapes[i % 3]),
+              FunctionObservation("noisy-evaluations", points,
+                                  rng.standard_normal(n_points)))
+             for i in range(n_pairs)]
+    uset = enumerate_ball(1, 2.0)
+    return pairs, uset, sample_feature_map(len(uset), 40, 1.0, seed=3)
+
+
+def test_fit_with_a_penalty_below_round_off_raises_ill_conditioned():
+    # 1e-300 shifts a rank-3 Gram exactly as 0 does, so its failed
+    # factorization gives the same verdict as lambda = 0
+    pairs, uset, fmap = _three_input_task()
+    with pytest.raises(IllConditionedError, match="ridge penalty") as err:
+        fit(pairs, uset, uset, fmap, ridge_lambda=1e-300)
+    assert err.value.condition_estimate == np.inf
+
+
+def test_fit_cv_scores_a_penalty_below_round_off_inf():
+    pairs, uset, fmap = _three_input_task()
+    result = fit_cv(pairs, uset, uset, fmap.feature_count, 3,
+                    bandwidth_grid=(1.0,), lambda_grid=(1e-300, 1e-3))
+    assert result.grid[0]["mse"] == np.inf
+    assert np.isfinite(result.grid[1]["mse"])
+    assert result.ridge_lambda == 1e-3
 
 
 @pytest.mark.parametrize("empty", ["bandwidth_grid", "lambda_grid"])
