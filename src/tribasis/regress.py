@@ -7,15 +7,14 @@ seen, and shards built independently merge by entrywise addition. With
 fewer training pairs N than features D, ``fit`` and ``fit_cv`` solve the
 equivalent N x N dual system instead, psi = Z^T (Z Z^T + lambda I)^-1 Y,
 whose O(N*D) memory is below the Gram's O(D^2); ``accumulate`` and
-``TrainingSummary.merge`` stay primal. Every system is solved by one
-in-place Cholesky factorization, condition-checked for plain least
-squares; a system it cannot factor, at any penalty, is numerically
-singular and raises IllConditionedError. An explicit inverse is never
-formed.
+``TrainingSummary.merge`` stay primal. Each system is built once for all
+its penalties and solved by one in-place Cholesky factorization per
+penalty, condition-checked for plain least squares; a system it cannot
+factor, at any penalty, is numerically singular and raises
+IllConditionedError. An explicit inverse is never formed.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import linalg as sla
@@ -33,7 +32,6 @@ from .basis import (
 from .features import (
     RksFeatureMap,
     compute_features,
-    compute_features_batch,
     feature_ladder,
     sample_feature_map,
 )
@@ -64,8 +62,9 @@ class IllConditionedError(ValueError):
 
 @dataclass
 class TrainingSummary:
-    """Accumulated normal-equation blocks: gram (D, D), cross (D, r), and
-    the instance count."""
+    """The blocks of one ridge system: gram (D, D) and cross (D, r) of the
+    normal equations, and the instance count. A dual system (``_systems``)
+    keeps its (N, N) kernel Z Z^T in gram and its targets Y in cross."""
 
     gram: np.ndarray
     cross: np.ndarray
@@ -82,10 +81,6 @@ class TrainingSummary:
             raise ValueError("count must be non-negative")
         self.gram = gram
         self.cross = cross
-
-    @property
-    def feature_count(self) -> int:
-        return self.gram.shape[0]
 
     def merge(self, other: "TrainingSummary") -> "TrainingSummary":
         """Entrywise sum of two summaries (shards commute up to round-off)."""
@@ -109,6 +104,33 @@ def _summaries(inputs, outputs, fmaps, rows) -> list:
             gram += z.T @ z
             cross += z.T @ y
     return [TrainingSummary(g, c, len(inputs)) for g, c in zip(grams, crosses)]
+
+
+def _systems(inputs, outputs, fmaps, rows):
+    """Each map's ridge system over coefficient rows ``inputs`` (N, s) and
+    ``outputs`` (N, r), in the order of ``fmaps``, as (summary, z): with N
+    at least the feature count D, the primal normal equations of one
+    ``_summaries`` pass and z None; with fewer, the dual N x N kernel Z Z^T
+    with targets Y and the features z (N, D). Each kernel is built when the
+    caller reaches its map, so kernels are built one at a time."""
+    if len(inputs) >= fmaps[0].feature_count:
+        for summary in _summaries(inputs, outputs, fmaps, rows):
+            yield summary, None
+    else:
+        for z in feature_ladder(fmaps, inputs):
+            yield TrainingSummary(z @ z.T, outputs, len(z)), z
+
+
+def _psi(system, ridge_lambda: float) -> np.ndarray:
+    """psi of a ``_systems`` system at one penalty; a dual one's is Z^T alpha.
+    Its D x D Gram Z^T Z has rank at most N < D, so lambda = 0 raises
+    IllConditionedError before any solve."""
+    summary, z = system
+    if z is None:
+        return solve(summary, ridge_lambda)
+    if ridge_lambda == 0:
+        raise IllConditionedError(np.inf)
+    return z.T @ solve(summary, ridge_lambda)
 
 
 def accumulate(inputs, outputs, fmap: RksFeatureMap) -> TrainingSummary:
@@ -192,31 +214,12 @@ class TripleBasisModel:
         self.psi = psi
 
 
-def _dual_psi(z: np.ndarray, outputs: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """psi = Z^T alpha from the N x N dual system (Z Z^T + lambda I) alpha = Y,
-    for features ``z`` (N, D) with N < D. The D x D Gram Z^T Z then has rank
-    at most N, so lambda = 0 is singular by construction and raises
-    IllConditionedError without forming it."""
-    if ridge_lambda == 0:
-        raise IllConditionedError(np.inf)
-    return z.T @ solve(TrainingSummary(z @ z.T, outputs, len(z)), ridge_lambda)
-
-
-def _fit_psi(inputs: np.ndarray, outputs: np.ndarray, fmap: RksFeatureMap,
-             ridge_lambda: float) -> np.ndarray:
-    """psi fitted on coefficient rows: in the dual with fewer rows than
-    features, otherwise from the primal D x D normal equations."""
-    if inputs.shape[0] < fmap.feature_count:
-        return _dual_psi(compute_features_batch(fmap, inputs), outputs, ridge_lambda)
-    return solve(accumulate(inputs, outputs, fmap), ridge_lambda)
-
-
 def fit(
     dataset,
     input_index_set: BasisIndexSet,
     output_index_set: BasisIndexSet,
     fmap: RksFeatureMap,
-    ridge_lambda: float = 0.0,
+    ridge_lambda: float,
 ) -> TripleBasisModel:
     """Project every observation pair, solve the ridge system, wrap as a
     model.
@@ -231,7 +234,7 @@ def fit(
         raise ValueError("dataset must be non-empty")
     inputs = project_all([p for p, _ in dataset], input_index_set)
     outputs = project_all([q for _, q in dataset], output_index_set)
-    psi = _fit_psi(inputs, outputs, fmap, ridge_lambda)
+    psi = _psi(next(_systems(inputs, outputs, [fmap], _BATCH_ROWS)), ridge_lambda)
     return TripleBasisModel(input_index_set, output_index_set, fmap, psi,
                             float(ridge_lambda), training_count=len(dataset))
 
@@ -283,16 +286,6 @@ class CvResult:
     grid: list = field(default_factory=list)
 
 
-def _solve_or_nan(solver, ridge_lambda, shape, failures):
-    """``solver(ridge_lambda)``, or NaNs of ``shape`` once its
-    IllConditionedError is kept in ``failures``."""
-    try:
-        return solver(ridge_lambda)
-    except IllConditionedError as exc:
-        failures.append(exc)
-        return np.full(shape, np.nan)
-
-
 def fit_cv(
     dataset,
     input_index_set: BasisIndexSet,
@@ -312,8 +305,9 @@ def fit_cv(
     no halving chain is evaluated directly. With at least as many fitting
     rows as features, each map's penalties are solved from one streamed
     pass of normal equations, and the refit adds the held-out rows' to
-    them. With fewer, they are solved in the dual and the refit is
-    ``fit``'s. One pass over the held-out rows scores every grid point.
+    them. With fewer, each map's N x N dual kernel is built once for all
+    its penalties, and the refit's is built on all rows. One pass over the
+    held-out rows scores every grid point.
     The log keeps the caller's order and its first tie, searching a repeat
     once; an ill-conditioned point scores inf.
     """
@@ -330,17 +324,19 @@ def fit_cv(
     fmaps = [sample_feature_map(inputs.shape[1], feature_count, bw, seed)
              for bw in sigmas]
     x_fit, y_fit = inputs[fit_idx], outputs[fit_idx]
-    primal = len(fit_idx) >= feature_count
-    if primal:
-        summaries = _summaries(x_fit, y_fit, fmaps, _CV_ROWS)
-        solvers = [partial(solve, t) for t in summaries]
-    else:
-        solvers = [partial(_dual_psi, z, y_fit) for z in feature_ladder(fmaps, x_fit)]
     r, n_lam = outputs.shape[1], len(lambda_grid)
-    failures = []
-    # each map's solutions side by side, so one product scores every penalty
-    psis = [np.hstack([_solve_or_nan(f, lam, (feature_count, r), failures)
-                       for lam in lambda_grid]) for f in solvers]
+    failures, psis, summaries = [], [], []
+    for summary, z in _systems(x_fit, y_fit, fmaps, _CV_ROWS):
+        summaries.append(summary if z is None else None)  # a primal refit adds to it
+        solved = []
+        for lam in lambda_grid:
+            try:
+                solved.append(_psi((summary, z), lam))
+            except IllConditionedError as exc:
+                failures.append(exc)
+                solved.append(np.full((feature_count, r), np.nan))
+        # the map's solutions side by side, so one product scores every penalty
+        psis.append(np.hstack(solved))
     if len(failures) == len(fmaps) * n_lam:
         raise failures[0]
     sse = np.zeros((len(fmaps), n_lam))
@@ -359,11 +355,12 @@ def fit_cv(
                 for lam, m in zip(lambda_grid, scores)]
     i, j = np.unravel_index(np.argmin(table), table.shape)
     k, lam = rows[i], lambda_grid[j]
-    if primal:  # the held-out rows complete the search's fitting summary
+    if summaries[k] is None:
+        system = next(_systems(inputs, outputs, fmaps[k:k + 1], _BATCH_ROWS))
+    else:  # the held-out rows complete the search's fitting summary
         held_out = accumulate(inputs[val_idx], outputs[val_idx], fmaps[k])
-        psi = solve(summaries[k].merge(held_out), lam)
-    else:
-        psi = _fit_psi(inputs, outputs, fmaps[k], lam)
+        system = summaries[k].merge(held_out), None
+    psi = _psi(system, lam)
     model = TripleBasisModel(input_index_set, output_index_set, fmaps[k], psi,
                              float(lam), training_count=len(dataset))
     return CvResult(model=model, bandwidth=float(sigmas[k]), ridge_lambda=float(lam),

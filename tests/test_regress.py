@@ -184,7 +184,7 @@ def test_solve_shifts_diagonal_like_identity_sum_and_keeps_gram():
                                       base.count)
             gram = summary.gram.copy()
             for lam in lams:
-                shifted = base.gram + lam * np.eye(base.feature_count)
+                shifted = base.gram + lam * np.eye(len(base.gram))
                 try:
                     factor = sla.cho_factor(shifted, lower=True, check_finite=False)
                 except sla.LinAlgError:
@@ -405,6 +405,53 @@ def test_fit_cv_dual_search_matches_primal_reference(monkeypatch):
     refit = fit(train, uset, uset,
                 sample_feature_map(len(uset), feature_count, best_bw, seed), best_lam)
     assert np.array_equal(result.model.psi, refit.psi)
+
+
+def test_fit_cv_dual_search_builds_one_kernel_per_bandwidth(monkeypatch):
+    train, uset, _, _, _ = _dual_task(26, n_train=40)
+    sigmas, lams, seed = (0.5, 1.0, 2.0, 4.0), (1e-6, 1e-4, 1e-2, 1.0), 7
+    systems = []
+
+    def recording_solve(summary, ridge_lambda):
+        systems.append(summary)
+        return solve(summary, ridge_lambda)
+
+    monkeypatch.setattr(regress, "solve", recording_solve)
+    fit_cv(train, uset, uset, 80, seed, bandwidth_grid=sigmas, lambda_grid=lams)
+    n_fit = len(holdout_split(len(train), seed)[1])
+    search, refit = systems[:-1], systems[-1]
+    assert len(search) == len(sigmas) * len(lams)
+    # every penalty of a bandwidth is solved in that bandwidth's one kernel
+    for k in range(len(sigmas)):
+        kernel = search[k * len(lams)]
+        assert kernel.gram.shape == (n_fit, n_fit)
+        assert all(s is kernel for s in search[k * len(lams):(k + 1) * len(lams)])
+    # |sigma| search systems, and one more for the refit on all pairs
+    assert len({id(s) for s in systems}) == len(sigmas) + 1
+    assert refit.gram.shape == (len(train), len(train))
+
+
+def test_fit_cv_dual_search_holds_one_kernel_at_a_time():
+    # 380 fitting rows against D = 400 features, so each bandwidth's N x N
+    # kernel is nearly as large as its (N, D) features. Bandwidths in no
+    # halving chain are featurized directly, so no sine and cosine tables
+    # set the peak: every bandwidth's features, one kernel and its shifted
+    # copy stay below the bound, and every bandwidth's kernel at once not
+    import tracemalloc
+
+    train, _, uset, _ = _tiny_task(29, n_train=475)
+    sigmas, seed, feature_count = (1.0, 1.5, 2.5, 3.5, 4.5), 8, 400
+    n_fit = len(holdout_split(len(train), seed)[1])
+    assert n_fit == 380
+    fit_cv(train, uset, uset, feature_count, seed, bandwidth_grid=sigmas)
+    tracemalloc.start()
+    try:
+        fit_cv(train, uset, uset, feature_count, seed, bandwidth_grid=sigmas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    features_bytes, kernel_bytes = 8 * n_fit * feature_count, 8 * n_fit * n_fit
+    assert peak < len(sigmas) * features_bytes + 4 * kernel_bytes
 
 
 def test_predict_matches_manual_recomposition():
