@@ -121,11 +121,10 @@ def _systems(inputs, outputs, fmaps, rows):
             yield TrainingSummary(z @ z.T, outputs, len(z)), z
 
 
-def _psi(system, ridge_lambda: float) -> np.ndarray:
+def _psi(summary, z, ridge_lambda: float) -> np.ndarray:
     """psi of a ``_systems`` system at one penalty; a dual one's is Z^T alpha.
     Its D x D Gram Z^T Z has rank at most N < D, so lambda = 0 raises
     IllConditionedError before any solve."""
-    summary, z = system
     if z is None:
         return solve(summary, ridge_lambda)
     if ridge_lambda == 0:
@@ -234,7 +233,7 @@ def fit(
         raise ValueError("dataset must be non-empty")
     inputs = project_all([p for p, _ in dataset], input_index_set)
     outputs = project_all([q for _, q in dataset], output_index_set)
-    psi = _psi(next(_systems(inputs, outputs, [fmap], _BATCH_ROWS)), ridge_lambda)
+    psi = _psi(*next(_systems(inputs, outputs, [fmap], _BATCH_ROWS)), ridge_lambda)
     return TripleBasisModel(input_index_set, output_index_set, fmap, psi,
                             float(ridge_lambda), training_count=len(dataset))
 
@@ -325,13 +324,14 @@ def fit_cv(
              for bw in sigmas]
     x_fit, y_fit = inputs[fit_idx], outputs[fit_idx]
     r, n_lam = outputs.shape[1], len(lambda_grid)
-    failures, psis, summaries = [], [], []
-    for summary, z in _systems(x_fit, y_fit, fmaps, _CV_ROWS):
-        summaries.append(summary if z is None else None)  # a primal refit adds to it
+    failures, psis, fitting = [], [], {}
+    for k, (summary, z) in enumerate(_systems(x_fit, y_fit, fmaps, _CV_ROWS)):
+        if z is None:  # the refit adds the held-out rows to it
+            fitting[k] = summary
         solved = []
         for lam in lambda_grid:
             try:
-                solved.append(_psi((summary, z), lam))
+                solved.append(_psi(summary, z, lam))
             except IllConditionedError as exc:
                 failures.append(exc)
                 solved.append(np.full((feature_count, r), np.nan))
@@ -355,12 +355,11 @@ def fit_cv(
                 for lam, m in zip(lambda_grid, scores)]
     i, j = np.unravel_index(np.argmin(table), table.shape)
     k, lam = rows[i], lambda_grid[j]
-    if summaries[k] is None:
-        system = next(_systems(inputs, outputs, fmaps[k:k + 1], _BATCH_ROWS))
-    else:  # the held-out rows complete the search's fitting summary
+    if k in fitting:  # the held-out rows complete the search's fitting summary
         held_out = accumulate(inputs[val_idx], outputs[val_idx], fmaps[k])
-        system = summaries[k].merge(held_out), None
-    psi = _psi(system, lam)
+        psi = solve(fitting[k].merge(held_out), lam)
+    else:
+        psi = _psi(*next(_systems(inputs, outputs, fmaps[k:k + 1], _BATCH_ROWS)), lam)
     model = TripleBasisModel(input_index_set, output_index_set, fmaps[k], psi,
                              float(lam), training_count=len(dataset))
     return CvResult(model=model, bandwidth=float(sigmas[k]), ridge_lambda=float(lam),

@@ -324,6 +324,7 @@ def _dual_task(seed, n_train=30, feature_count=80):
 
 
 def _no_gram(*args):
+    # stands in for regress._summaries, which builds every D x D Gram
     raise AssertionError("the D x D Gram was accumulated")
 
 
@@ -333,7 +334,7 @@ def test_fit_dual_matches_primal_and_augmented_lstsq(monkeypatch):
     n, d = z.shape
     primal = TrainingSummary(z.T @ z, z.T @ outputs, n)
 
-    monkeypatch.setattr(regress, "accumulate", _no_gram)
+    monkeypatch.setattr(regress, "_summaries", _no_gram)
     for lam in (1e-4, 1e-2, 1.0):
         psi = fit(train, uset, uset, fmap, lam).psi
         reference = solve(primal, lam)
@@ -349,7 +350,7 @@ def test_fit_dual_matches_primal_and_augmented_lstsq(monkeypatch):
 def test_fit_ridgeless_with_fewer_pairs_than_features_raises(monkeypatch):
     # the D x D Gram has rank at most N < D: singular without being formed
     train, uset, fmap, _, _ = _dual_task(23)
-    monkeypatch.setattr(regress, "accumulate", _no_gram)
+    monkeypatch.setattr(regress, "_summaries", _no_gram)
     with pytest.raises(IllConditionedError) as err:
         fit(train, uset, uset, fmap, 0.0)
     assert err.value.condition_estimate == np.inf
@@ -357,7 +358,7 @@ def test_fit_ridgeless_with_fewer_pairs_than_features_raises(monkeypatch):
 
 def test_fit_cv_dual_search_scores_ridgeless_inf_without_a_gram(monkeypatch):
     train, uset, _, _, _ = _dual_task(24, n_train=40)
-    monkeypatch.setattr(regress, "accumulate", _no_gram)
+    monkeypatch.setattr(regress, "_summaries", _no_gram)
     result = fit_cv(train, uset, uset, 80, 3, bandwidth_grid=(1.0, 2.0),
                     lambda_grid=(0.0, 1e-3))
     scores = [g["mse"] for g in result.grid]
